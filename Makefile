@@ -61,8 +61,9 @@ chaos:
 # modular/monolithic equality test under the race detector, then one
 # modular-vs-monolithic experiment iteration on the mid-size preset with
 # no snapshot write (reports are verified identical before any metric is
-# recorded). Real BENCH_PR8.json numbers come from `hoyanbench -exp
-# modular` on the full and xl presets.
+# recorded). `hoyanbench -exp modular` on the full and xl presets
+# writes BENCH_PR8.json on demand; none is committed. The standing
+# distributed modular number is perfsuite's audit-dist workload.
 scale-smoke:
 	$(GO) test -race -run 'TestRunModularMatchesRunClasses' ./internal/dist/
 	$(GO) run ./cmd/hoyanbench -exp modular -mod-preset medium -mod-out=
@@ -74,6 +75,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
+	$(GO) test -run='^$$' -fuzz=FuzzParseTemplates -fuzztime=10s ./internal/config/
+	$(GO) test -run='^$$' -fuzz=FuzzPrefixParse -fuzztime=10s ./internal/config/
 
 # check is the CI gate: vet + hoyanlint, then the full suite under the
 # race detector and the benchmark smoke. The dist/collector chaos tests

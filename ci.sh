@@ -41,8 +41,9 @@ go run ./cmd/hoyanbench -exp recovery -rec-preset small -rec-iters 1 -rec-out=
 # Scale smoke: the distributed modular/monolithic equality test under
 # -race, then one bounded modular-vs-monolithic experiment iteration on
 # the medium preset (reports verified identical before any metric is
-# recorded; no snapshot write). Real BENCH_PR8.json numbers come from
-# `hoyanbench -exp modular` on the full and xl presets.
+# recorded; no snapshot write). `hoyanbench -exp modular` on the full
+# and xl presets writes BENCH_PR8.json on demand; none is committed. The
+# standing distributed modular number is perfsuite's audit-dist workload.
 go test -race -run 'TestRunModularMatchesRunClasses' ./internal/dist/
 go run ./cmd/hoyanbench -exp modular -mod-preset medium -mod-out=
 # Fuzz smoke: replay the corpus plus a few seconds of mutation on the
@@ -51,6 +52,9 @@ go run ./cmd/hoyanbench -exp modular -mod-preset medium -mod-out=
 go test -run='^$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 go test -run='^$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 go test -run='^$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
+go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/config/
+go test -run='^$' -fuzz=FuzzParseTemplates -fuzztime=10s ./internal/config/
+go test -run='^$' -fuzz=FuzzPrefixParse -fuzztime=10s ./internal/config/
 # Benchmark smoke: one iteration of every benchmark keeps the evaluation
 # harness honest without turning CI into a timing run. The incremental
 # and query experiments smoke on small/medium presets without writing a

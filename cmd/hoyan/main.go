@@ -699,29 +699,29 @@ func localSweep(net *topo.Network, snap config.Snapshot, k int, noClasses, noInc
 // modularSweep dispatches each class representative as one home pass
 // plus per-region import passes (dist.RunModular), so every worker holds
 // one region's working set instead of the whole WAN. When the model has
-// no usable cut it falls back — loudly — to the monolithic class run,
-// matching the in-process sweep's refusal contract.
+// no usable cut every class gets an empty Home, so RunModular runs each
+// as one monolithic pass, counted as refused — the in-process sweep's
+// refusal contract.
 func modularSweep(coord *dist.Coordinator, m *core.Model, classes []core.PrefixClass,
 	jobs [][]string, total, k int) (*dist.Result, error) {
-	pt, err := core.NewPartition(m)
-	if err != nil {
+	mcs := make([]dist.ModularClass, len(classes))
+	for i := range mcs {
+		mcs[i].Members = jobs[i]
+	}
+	var regions []string
+	if pt, err := core.NewPartition(m); err != nil {
 		fmt.Printf("note: modular fallback to monolithic: %v\n", err)
-		fmt.Printf("dispatching %d behavior classes for %d prefixes\n", len(jobs), total)
-		return coord.RunClasses(jobs, k)
-	}
-	regions := make([]string, 0, pt.NumRegions())
-	for i := 0; i < pt.NumRegions(); i++ {
-		regions = append(regions, pt.RegionName(i))
-	}
-	mcs := make([]dist.ModularClass, 0, len(classes))
-	for i, cl := range classes {
-		mc := dist.ModularClass{Members: jobs[i]}
-		if hi, herr := pt.FamilyHome(m, cl.Rep); herr == nil {
-			mc.Home = pt.RegionName(hi)
-		} else {
-			fmt.Printf("note: %s falls back to monolithic: %v\n", cl.Rep, herr)
+	} else {
+		for i := 0; i < pt.NumRegions(); i++ {
+			regions = append(regions, pt.RegionName(i))
 		}
-		mcs = append(mcs, mc)
+		for i, cl := range classes {
+			if hi, herr := pt.FamilyHome(m, cl.Rep); herr == nil {
+				mcs[i].Home = pt.RegionName(hi)
+			} else {
+				fmt.Printf("note: %s falls back to monolithic: %v\n", cl.Rep, herr)
+			}
+		}
 	}
 	// Advisory pre-flight: predict the cut's refusals statically so the
 	// fallback load is visible before a single worker is dispatched.

@@ -161,10 +161,6 @@ type Options struct {
 	// AuditSeed seeds the audit-member selection (0 = a fixed default), so
 	// the chosen set is reproducible and worker-count independent.
 	AuditSeed int64
-	// ResetEvery is how many prefix simulations a sweep worker runs before
-	// recycling its simulator (fresh formula arena, IGP re-seeded from the
-	// shared memo); 0 = the default of 1.
-	ResetEvery int
 	// Baseline, when non-nil, makes Sweep incremental: the current model
 	// is diffed against the baseline's, only behavior classes the delta
 	// can affect are re-simulated, and cached reports are replayed for
@@ -187,6 +183,41 @@ type Options struct {
 	Modular bool
 }
 
+// model is the prologue of every entry point that simulates: it fails
+// on recorded config errors, defaults the failure budget, and assembles
+// the model under the selected vendor profiles.
+func (n *Network) model(opts *Options) (*core.Model, error) {
+	if len(n.errs) > 0 {
+		return nil, n.errs[0]
+	}
+	if opts.K == 0 {
+		opts.K = 3
+	}
+	return core.Assemble(n.net, n.snap, opts.profiles())
+}
+
+// profiles returns the selected vendor registry, the tuned one by default.
+func (o Options) profiles() *behavior.Registry {
+	if o.Profiles != nil {
+		return o.Profiles
+	}
+	return behavior.TrueProfiles()
+}
+
+// coreOptions maps the verification options onto the simulator's.
+func (o Options) coreOptions() core.Options {
+	copts := core.DefaultOptions()
+	copts.K = o.K
+	if o.DisablePruning {
+		copts.PruneOverK = false
+		copts.PruneImpossible = false
+	}
+	if o.DisableSimplify {
+		copts.Simplify = false
+	}
+	return copts
+}
+
 // TunedProfiles returns the fully tuned vendor behavior registry.
 func TunedProfiles() *behavior.Registry { return behavior.TrueProfiles() }
 
@@ -205,32 +236,13 @@ type Verifier struct {
 
 // Verifier freezes the network and builds a verifier.
 func (n *Network) Verifier(opts Options) (*Verifier, error) {
-	if len(n.errs) > 0 {
-		return nil, n.errs[0]
-	}
-	if opts.K == 0 {
-		opts.K = 3
-	}
-	reg := opts.Profiles
-	if reg == nil {
-		reg = behavior.TrueProfiles()
-	}
-	m, err := core.Assemble(n.net, n.snap, reg)
+	m, err := n.model(&opts)
 	if err != nil {
 		return nil, err
 	}
-	copts := core.DefaultOptions()
-	copts.K = opts.K
-	if opts.DisablePruning {
-		copts.PruneOverK = false
-		copts.PruneImpossible = false
-	}
-	if opts.DisableSimplify {
-		copts.Simplify = false
-	}
 	return &Verifier{
 		model: m,
-		sim:   core.NewSimulator(m, copts),
+		sim:   core.NewSimulator(m, opts.coreOptions()),
 		opts:  opts,
 		cache: map[netaddr.Prefix]*core.Result{},
 		fibs:  map[netaddr.Prefix]*dataplane.FIB{},

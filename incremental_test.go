@@ -1,6 +1,9 @@
 package hoyan
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -124,6 +127,32 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	diffSweepReports(t, "no-incremental escape hatch", cold, off)
 	if off.Invalidation != nil || off.Replayed != 0 {
 		t.Fatalf("NoIncremental still replayed: %+v", off)
+	}
+}
+
+// TestBaselineSaveDeterministic pins byte-deterministic baselines: two
+// captures of one network, at different worker counts, save identical
+// bytes — records carry no wall-clock time and export their conditions
+// canonically.
+func TestBaselineSaveDeterministic(t *testing.T) {
+	n, _ := wanNetworkFrom(t, gen.Small())
+	dir := t.TempDir()
+	var saved [2][]byte
+	for i, workers := range []int{1, 4} {
+		_, store, err := n.SweepBaseline(Options{K: 2}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("baseline-%d.json", i))
+		if err := store.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if saved[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatalf("two baselines of one network saved different bytes (%d vs %d)", len(saved[0]), len(saved[1]))
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 
 // ModularMetrics are the raw numbers behind the modular-verification
 // experiment, recorded as the sweep_monolithic / sweep_modular metric
-// groups of BENCH_PR8.json.
+// groups of the BENCH_PR8.json that `hoyanbench -exp modular` writes on
+// demand (none is committed; the standing distributed modular number is
+// perfsuite's audit-dist workload).
 type ModularMetrics struct {
 	Routers  int
 	Prefixes int

@@ -314,6 +314,9 @@ type Result struct {
 	sessionMsgs [][]Entry
 	// taint records what the run actually consulted (taint.go).
 	taint Taint
+	// region marks the nodes a region pass covers (RunRegion); nil for a
+	// monolithic run, which covers every node.
+	region []bool
 }
 
 // prepareScratch sizes and clears the recycled per-run buffers.
@@ -374,6 +377,9 @@ func (s *Simulator) Run(prefix netaddr.Prefix) (*Result, error) {
 	}
 	n := s.M.Net.NumNodes()
 	res := &Result{Sim: s, Prefixes: family, ribs: make([][]Entry, n)}
+	if s.restr != nil {
+		res.region = s.restr.in
+	}
 	sc := &s.sc
 	s.prepareScratch(n)
 

@@ -84,7 +84,7 @@ func (e *UnsoundCut) Error() string {
 // Refusals (an *UnsoundCut error) cover oscillation damping (a frozen
 // session has no well-defined final wire view) and re-export leaks: an
 // import pass whose own summary is non-empty observed routes crossing a
-// second cut, which the two-round modular schedule cannot deliver.
+// second cut, which home-then-import passes cannot deliver.
 func (s *Simulator) RunRegion(prefix netaddr.Prefix, pt *Partition, region int, imported *CutSummary) (*Result, *CutSummary, error) {
 	if s.restr != nil {
 		return nil, nil, fmt.Errorf("core: RunRegion is not reentrant")
@@ -191,9 +191,9 @@ func (s *Simulator) captureSummary(res *Result, restr *restriction, prefix netad
 		se := &s.sessions[si]
 		for _, e := range res.sessionMsgs[si] {
 			out.Msgs = append(out.Msgs, CutMsg{
-				Sess: si,
-				From: s.M.Net.Node(se.from).Name,
-				To:   s.M.Net.Node(se.to).Name,
+				Sess:  si,
+				From:  s.M.Net.Node(se.from).Name,
+				To:    s.M.Net.Node(se.to).Name,
 				Route: e.Route,
 				Cond:  len(roots),
 			})
@@ -202,4 +202,117 @@ func (s *Simulator) captureSummary(res *Result, restr *restriction, prefix netad
 	}
 	out.Conds = s.F.Export(roots...)
 	return out
+}
+
+// ModularPass is one pass of the modular schedule. Region >= 0 is a
+// region-restricted pass: the unit's home pass when Summary is nil, an
+// import pass of its home pass's Summary otherwise. Region -1 is a
+// monolithic pass, for a unit with no home or as the fallback for a
+// refused cut.
+type ModularPass struct {
+	Unit    int
+	Region  int
+	Summary *CutSummary
+}
+
+// PassResult is an executor's answer to one pass. V is the executor's
+// per-router verdict: Verdict in process, a wire summary across workers.
+type PassResult[V any] struct {
+	Verdicts []V
+	// Summary is the cut summary a home pass captured.
+	Summary *CutSummary
+	// Refused is the reason the cut refused the pass (an UnsoundCut).
+	Refused string
+	// Failed drops the unit from the schedule: the pass failed for a
+	// reason other than the cut, and the executor reports the failure.
+	Failed bool
+}
+
+// ModularRun is the outcome of RunModular.
+type ModularRun[V any] struct {
+	// Verdicts holds each unit's verdicts: those of its region passes in
+	// dispatch order, or those of its monolithic pass. Nil for a unit
+	// whose pass failed.
+	Verdicts [][]V
+	// Passes counts region passes dispatched (home + import).
+	Passes int
+	// Refused counts units run monolithically: no home, or a refused cut.
+	Refused int
+	// Rounds counts executor calls.
+	Rounds int
+}
+
+// RunModular runs the modular schedule over units, given the region
+// index of each unit's home (-1 for none) among regions, calling exec
+// once per round with that round's passes:
+//
+//  1. home passes, plus monolithic passes for units with no home;
+//  2. import passes of every captured summary into each other region,
+//     plus monolithic fallbacks for refused home passes;
+//  3. monolithic fallbacks for units an import pass refused.
+//
+// A fallback's verdicts replace the unit's region verdicts: a summary
+// that cannot express one region's view is trusted for none. Within a round,
+// fallbacks follow the region passes. exec returns one result per pass,
+// in order; its error aborts the schedule.
+func RunModular[V any](homes []int, regions int, exec func([]ModularPass) ([]PassResult[V], error)) (*ModularRun[V], error) {
+	run := &ModularRun[V]{Verdicts: make([][]V, len(homes))}
+	var round []ModularPass
+	for u, h := range homes {
+		round = append(round, ModularPass{Unit: u, Region: h})
+		if h < 0 {
+			run.Refused++
+		} else {
+			run.Passes++
+		}
+	}
+	for len(round) > 0 {
+		results, err := exec(round)
+		if err != nil {
+			return nil, err
+		}
+		if len(results) != len(round) {
+			return nil, fmt.Errorf("core: modular executor answered %d of %d passes", len(results), len(round))
+		}
+		run.Rounds++
+		// Fold the round per unit: a failure drops the unit, a refusal
+		// demotes it, a monolithic pass's verdicts replace any region's.
+		failed, refused := map[int]bool{}, map[int]bool{}
+		homed := map[int]*CutSummary{}
+		for i, p := range round {
+			r := results[i]
+			switch {
+			case r.Failed:
+				failed[p.Unit] = true
+			case p.Region < 0:
+				run.Verdicts[p.Unit] = r.Verdicts
+			case r.Refused != "" || (p.Summary == nil && r.Summary == nil):
+				refused[p.Unit] = true
+			default:
+				run.Verdicts[p.Unit] = append(run.Verdicts[p.Unit], r.Verdicts...)
+				if p.Summary == nil {
+					homed[p.Unit] = r.Summary
+				}
+			}
+		}
+		var next, fallbacks []ModularPass
+		for u := range homes {
+			switch {
+			case failed[u]:
+				run.Verdicts[u] = nil
+			case refused[u]:
+				run.Refused++
+				fallbacks = append(fallbacks, ModularPass{Unit: u, Region: -1})
+			case homed[u] != nil:
+				for r := 0; r < regions; r++ {
+					if r != homes[u] {
+						next = append(next, ModularPass{Unit: u, Region: r, Summary: homed[u]})
+						run.Passes++
+					}
+				}
+			}
+		}
+		round = append(next, fallbacks...)
+	}
+	return run, nil
 }

@@ -114,6 +114,35 @@ func (r *Result) MinFailuresToLose(n topo.NodeID, pt Pattern) (int, int) {
 	return r.Sim.minFailuresToViolate(cond), r.Sim.F.Len(cond)
 }
 
+// Verdict is one BGP speaker's outcome for a prefix: whether a route to
+// it is present with all links up, and the fewest link failures that
+// remove every such route (0 when it is already unreachable).
+type Verdict struct {
+	Node      topo.NodeID
+	Reachable bool
+	Min       int
+}
+
+// Verdicts appends the verdict of every BGP speaker the run covers — all
+// of them for Run, the pass's region for RunRegion — in node order. It is
+// the one per-router read of a simulation, shared by in-process sweeps,
+// region passes and remote workers.
+func (r *Result) Verdicts(dst []Verdict, p netaddr.Prefix) []Verdict {
+	m, f, pt := r.Sim.M, r.Sim.F, AnyRouteTo(p)
+	for _, node := range m.Net.Nodes() {
+		if m.Configs[node.ID].BGP == nil || (r.region != nil && !r.region[node.ID]) {
+			continue
+		}
+		cond := r.ReachCond(node.ID, pt)
+		v := Verdict{Node: node.ID, Reachable: f.Eval(cond, nil)}
+		if v.Reachable {
+			v.Min = r.Sim.minFailuresToViolate(cond)
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 // KTolerant reports whether the reachability survives every failure case
 // of at most k links.
 func (r *Result) KTolerant(n topo.NodeID, pt Pattern, k int) bool {

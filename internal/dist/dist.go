@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -300,58 +301,43 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-// sharedFor returns the global Shared for (model hash, failure budget
-// k), assembling it on first use and touching its LRU slot. The returned
-// key is normalized (the empty default alias resolves to the default
-// hash) so per-connection simulators keyed by it never alias two models.
-func (w *Worker) sharedFor(model string, k int) (*core.Shared, sharedKey, error) {
+// sharedFor returns the Shared for (model hash, failure budget k,
+// region), assembling it on first use and touching its LRU slot. An
+// empty region selects the global Shared (pt nil); a named one the
+// region's Shared layered over the model's cut memo, so a worker serving
+// modular passes holds O(WAN/regions) per region instead of O(WAN).
+// Region entries share the global LRU; a worker pool dedicated to a
+// modular session should set MaxShared to at least regions+2 to avoid
+// thrashing. The returned key is normalized (the empty default alias
+// resolves to the default hash) so per-connection simulators keyed by it
+// never alias two models.
+func (w *Worker) sharedFor(model string, k int, region string) (sh *core.Shared, key sharedKey, pt *core.Partition, ri int, err error) {
 	w.sharedMu.Lock()
 	src := w.sources[model]
 	w.sharedMu.Unlock()
 	if src == nil {
-		return nil, sharedKey{}, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
+		return nil, key, nil, -1, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
 	}
 	m, err := src.assemble()
 	if err != nil {
-		return nil, sharedKey{}, err
+		return nil, key, nil, -1, err
 	}
 	opts := core.DefaultOptions()
 	opts.K = k
-	sh, key := w.cachedShared(sharedKey{model: model, k: k}, func() *core.Shared {
-		return core.NewShared(m, opts)
-	})
-	return sh, key, nil
-}
-
-// regionSharedFor is sharedFor restricted to one region of the model's
-// partition: the resident state is the region's Shared layered over the
-// model's cut memo, so a worker serving modular passes holds
-// O(WAN/regions) per region instead of O(WAN). Region entries share the
-// global LRU; a worker pool dedicated to a modular session should set
-// MaxShared to at least regions+2 to avoid thrashing.
-func (w *Worker) regionSharedFor(model string, k int, region string) (*core.Shared, sharedKey, *core.Partition, int, error) {
-	w.sharedMu.Lock()
-	src := w.sources[model]
-	w.sharedMu.Unlock()
-	if src == nil {
-		return nil, sharedKey{}, nil, -1, fmt.Errorf("dist: worker does not hold model %q (default is %s)", model, w.defaultHash)
+	if region == "" {
+		sh, key = w.cachedShared(sharedKey{model: model, k: k}, func() *core.Shared {
+			return core.NewShared(m, opts)
+		})
+		return sh, key, nil, -1, nil
 	}
-	m, err := src.assemble()
-	if err != nil {
-		return nil, sharedKey{}, nil, -1, err
+	if pt, err = src.partition(); err != nil {
+		return nil, key, nil, -1, err
 	}
-	pt, err := src.partition()
-	if err != nil {
-		return nil, sharedKey{}, nil, -1, err
+	if ri = pt.RegionIndex(region); ri < 0 {
+		return nil, key, nil, -1, fmt.Errorf("dist: model %s has no region %q", ModelHash(src.net, src.snap), region)
 	}
-	ri := pt.RegionIndex(region)
-	if ri < 0 {
-		return nil, sharedKey{}, nil, -1, fmt.Errorf("dist: model %s has no region %q", ModelHash(src.net, src.snap), region)
-	}
-	opts := core.DefaultOptions()
-	opts.K = k
 	cut := src.cutMemo(opts, pt)
-	sh, key := w.cachedShared(sharedKey{model: model, k: k, region: region}, func() *core.Shared {
+	sh, key = w.cachedShared(sharedKey{model: model, k: k, region: region}, func() *core.Shared {
 		return core.NewRegionShared(m, opts, pt, ri, cut)
 	})
 	return sh, key, pt, ri, nil
@@ -436,7 +422,13 @@ func (w *Worker) handle(conn net.Conn) {
 	}
 }
 
-// answer runs one verification request against the model it names.
+// answer runs one verification request against the model it names. A
+// request with a Region is a region pass: a home pass (no imported
+// summary) captures the prefix's cut summary into the response, an
+// import pass consumes the request's. A core refusal (*core.UnsoundCut)
+// answers with Refused, not Error — it is deterministic, so the
+// coordinator must fall back to monolithic simulation instead of
+// retrying.
 func (w *Worker) answer(req Request, sims map[sharedKey]*connSim) Response {
 	resp := Response{Prefix: req.Prefix, Region: req.Region}
 	p, err := netaddr.Parse(req.Prefix)
@@ -444,39 +436,22 @@ func (w *Worker) answer(req Request, sims map[sharedKey]*connSim) Response {
 		resp.Error = err.Error()
 		return resp
 	}
-	if req.Region != "" {
-		return w.answerRegion(req, p, sims)
-	}
-	sh, key, err := w.sharedFor(req.Model, req.K)
+	sh, key, pt, ri, err := w.sharedFor(req.Model, req.K, req.Region)
 	if err != nil {
 		resp.Error = err.Error()
 		return resp
 	}
-	cs := connSimFor(sims, key, sh)
-	res, err := cs.sim.Run(p)
-	if err != nil {
-		resp.Error = err.Error()
-		return resp
+	sim := connSimFor(sims, key, sh).sim
+	var res *core.Result
+	if pt == nil {
+		res, err = sim.Run(p)
+	} else {
+		var sum *core.CutSummary
+		res, sum, err = sim.RunRegion(p, pt, ri, req.Summary)
+		if req.Summary == nil {
+			resp.Summary = sum
+		}
 	}
-	resp.Summaries = summarize(res, sh.M, p, req.K, nil)
-	return resp
-}
-
-// answerRegion runs one region-restricted pass: a home pass (no imported
-// summary) captures the prefix's cut summary into the response, an
-// import pass consumes the request's. A core refusal (*core.UnsoundCut)
-// answers with Refused, not Error — it is deterministic, so the
-// coordinator must fall back to monolithic simulation instead of
-// retrying.
-func (w *Worker) answerRegion(req Request, p netaddr.Prefix, sims map[sharedKey]*connSim) Response {
-	resp := Response{Prefix: req.Prefix, Region: req.Region}
-	sh, key, pt, ri, err := w.regionSharedFor(req.Model, req.K, req.Region)
-	if err != nil {
-		resp.Error = err.Error()
-		return resp
-	}
-	cs := connSimFor(sims, key, sh)
-	res, sum, err := cs.sim.RunRegion(p, pt, ri, req.Summary)
 	var uc *core.UnsoundCut
 	if errors.As(err, &uc) {
 		resp.Refused = uc.Reason
@@ -486,12 +461,7 @@ func (w *Worker) answerRegion(req Request, p netaddr.Prefix, sims map[sharedKey]
 		resp.Error = err.Error()
 		return resp
 	}
-	if req.Summary == nil {
-		resp.Summary = sum
-	}
-	resp.Summaries = summarize(res, sh.M, p, req.K, func(id topo.NodeID) bool {
-		return pt.RegionOf(id) == ri
-	})
+	resp.Summaries = summarize(res.Verdicts(nil, p), res.Sim.M, req.K)
 	return resp
 }
 
@@ -506,25 +476,15 @@ func connSimFor(sims map[sharedKey]*connSim, key sharedKey, sh *core.Shared) *co
 	return cs
 }
 
-// summarize folds a simulation result into per-router verdicts for every
-// BGP speaker keep admits (nil keeps all) in the model's node order.
-func summarize(res *core.Result, model *core.Model, p netaddr.Prefix, k int, keep func(topo.NodeID) bool) []RouterSummary {
-	var out []RouterSummary
-	pat := core.AnyRouteTo(p)
-	for _, node := range model.Net.Nodes() {
-		if model.Configs[node.ID].BGP == nil || (keep != nil && !keep(node.ID)) {
-			continue
+// summarize maps a pass's verdicts onto the wire, clamping a
+// min-failure count beyond the budget to -1.
+func summarize(vs []core.Verdict, model *core.Model, k int) []RouterSummary {
+	out := make([]RouterSummary, len(vs))
+	for i, v := range vs {
+		out[i] = RouterSummary{Router: model.Net.Node(v.Node).Name, Reachable: v.Reachable, MinFailures: v.Min}
+		if v.Min > k {
+			out[i].MinFailures = -1
 		}
-		rs := RouterSummary{Router: node.Name, Reachable: res.Reachable(node.ID, pat)}
-		if rs.Reachable {
-			min, _ := res.MinFailuresToLose(node.ID, pat)
-			if min > k {
-				rs.MinFailures = -1
-			} else {
-				rs.MinFailures = min
-			}
-		}
-		out = append(out, rs)
 	}
 	return out
 }
@@ -1119,24 +1079,27 @@ type ModularClass struct {
 // that refuse a cut (core.UnsoundCut — oscillation damping, re-export
 // across a second cut) demote their representative to a monolithic
 // pass, counted loudly in ModularRefused; refusal is deterministic, so
-// it is a verdict about the cut, never retried.
+// it is a verdict about the cut, never retried. The rounds are
+// core.RunModular's schedule, each dispatched as one runJobs pool run.
 //
 // Per-router summaries are returned sorted by router name — region
 // passes answer in region order, so the monolithic node order cannot be
 // reconstructed without the model.
 func (c *Coordinator) RunModular(classes []ModularClass, regions []string, k int) (*Result, error) {
 	var stringClasses [][]string
+	homeOf := map[string]string{}
 	for _, cl := range classes {
 		stringClasses = append(stringClasses, cl.Members)
-	}
-	reps, members, _ := classParts(stringClasses)
-	homes := map[string]string{}
-	for _, cl := range classes {
 		if len(cl.Members) > 0 {
-			if _, ok := homes[cl.Members[0]]; !ok {
-				homes[cl.Members[0]] = cl.Home
+			if _, ok := homeOf[cl.Members[0]]; !ok {
+				homeOf[cl.Members[0]] = cl.Home
 			}
 		}
+	}
+	reps, members, _ := classParts(stringClasses)
+	homes := make([]int, len(reps))
+	for u, rep := range reps {
+		homes[u] = slices.Index(regions, homeOf[rep])
 	}
 
 	final := &Result{
@@ -1145,174 +1108,56 @@ func (c *Coordinator) RunModular(classes []ModularClass, regions []string, k int
 		WorkerErrors: map[string][]string{},
 		Classes:      len(reps),
 	}
-	failedReps := map[string]PrefixFailure{}
-	// markFailed folds one round's failures (keyed by job key) back onto
-	// representatives; a rep's first failure wins and drops it from every
-	// later round.
-	markFailed := func(res *Result, repOf map[string]string) {
+	// failed holds each representative's first pass failure; the
+	// schedule drops the representative from later rounds.
+	failed := map[string]PrefixFailure{}
+	exec := func(round []core.ModularPass) ([]core.PassResult[RouterSummary], error) {
+		jobs := make([]*job, len(round))
+		for i, p := range round {
+			jobs[i] = &job{prefix: reps[p.Unit], summary: p.Summary}
+			if p.Region >= 0 {
+				jobs[i].region = regions[p.Region]
+			}
+		}
+		res, err := c.runJobs(jobs, k, nil)
+		if res == nil {
+			return nil, err
+		}
+		final.absorb(res)
+		failures := map[string]PrefixFailure{}
 		for _, f := range res.Failed {
-			rep := repOf[f.Prefix]
-			if rep == "" {
-				rep = f.Prefix
-			}
-			if _, dup := failedReps[rep]; !dup {
-				f.Prefix = rep
-				failedReps[rep] = f
-			}
+			failures[f.Prefix] = f
 		}
-	}
-
-	// Round 1: home passes; classes with no home run monolithically now.
-	var r1 []*job
-	repOf := map[string]string{}
-	mono := map[string]bool{} // reps settled by a monolithic pass
-	for _, rep := range reps {
-		j := &job{prefix: rep, region: homes[rep]}
-		if j.region == "" {
-			mono[rep] = true
-			final.ModularRefused++
-		} else {
-			final.ModularPasses++
+		out := make([]core.PassResult[RouterSummary], len(jobs))
+		for i, j := range jobs {
+			key := j.key()
+			if f, bad := failures[key]; bad {
+				out[i].Failed = true
+				if _, dup := failed[j.prefix]; !dup {
+					f.Prefix = j.prefix
+					failed[j.prefix] = f
+				}
+				continue
+			}
+			out[i] = core.PassResult[RouterSummary]{Verdicts: res.ByPrefix[key], Summary: res.cutSummaries[key], Refused: res.refusals[key]}
 		}
-		repOf[j.key()] = rep
-		r1 = append(r1, j)
+		return out, nil
 	}
-	res1, err := c.runJobs(r1, k, nil)
-	if res1 == nil {
+	run, err := core.RunModular(homes, len(regions), exec)
+	if err != nil {
 		return nil, err
 	}
-	final.absorb(res1)
-	markFailed(res1, repOf)
-
-	// Classify round 1: collect home verdicts and summaries; refusals —
-	// and home passes that somehow produced no summary — demote to a
-	// monolithic pass in round 2.
-	verdicts := map[string][]RouterSummary{}
-	sums := map[string]*core.CutSummary{}
-	var demoted []string
-	for _, rep := range reps {
-		if mono[rep] {
-			if s, ok := res1.ByPrefix[rep]; ok {
-				final.ByPrefix[rep] = sortedByRouter(s)
-			}
-			continue
-		}
-		key := rep + "@" + homes[rep]
-		if _, bad := failedReps[rep]; bad {
-			continue
-		}
-		if _, refused := res1.refusals[key]; refused || res1.cutSummaries[key] == nil {
-			demoted = append(demoted, rep)
-			continue
-		}
-		verdicts[rep] = append(verdicts[rep], res1.ByPrefix[key]...)
-		sums[rep] = res1.cutSummaries[key]
-	}
-
-	// Round 2: import passes for every summarized rep, monolithic passes
-	// for round-1 demotions.
-	var r2 []*job
-	repOf = map[string]string{}
-	for _, rep := range reps {
-		if sums[rep] == nil {
-			continue
-		}
-		for _, rg := range regions {
-			if rg == homes[rep] {
-				continue
-			}
-			j := &job{prefix: rep, region: rg, summary: sums[rep]}
-			repOf[j.key()] = rep
-			r2 = append(r2, j)
-			final.ModularPasses++
-		}
-	}
-	for _, rep := range demoted {
-		mono[rep] = true
-		final.ModularRefused++
-		repOf[rep] = rep
-		r2 = append(r2, &job{prefix: rep})
-	}
-	res2, err2 := c.runJobs(r2, k, nil)
-	if res2 == nil {
-		return nil, err2
-	}
-	final.absorb(res2)
-	markFailed(res2, repOf)
-
-	// Classify round 2: an import-pass refusal (a second-cut leak only an
-	// import pass can see) poisons the rep's whole modular result — drop
-	// its region verdicts and fall back in round 3.
-	demoted = demoted[:0]
-	for _, rep := range reps {
-		if sums[rep] == nil || mono[rep] {
-			if mono[rep] && !final.hasPrefix(rep) {
-				if s, ok := res2.ByPrefix[rep]; ok {
-					final.ByPrefix[rep] = sortedByRouter(s)
-				}
-			}
-			continue
-		}
-		if _, bad := failedReps[rep]; bad {
-			continue
-		}
-		refused := false
-		for _, rg := range regions {
-			if rg == homes[rep] {
-				continue
-			}
-			key := rep + "@" + rg
-			if _, r := res2.refusals[key]; r {
-				refused = true
-				break
-			}
-		}
-		if refused {
-			demoted = append(demoted, rep)
-			continue
-		}
-		for _, rg := range regions {
-			if rg == homes[rep] {
-				continue
-			}
-			verdicts[rep] = append(verdicts[rep], res2.ByPrefix[rep+"@"+rg]...)
-		}
-		final.ByPrefix[rep] = sortedByRouter(verdicts[rep])
-	}
-
-	// Round 3: monolithic fallback for import-pass refusals.
-	if len(demoted) > 0 {
-		var r3 []*job
-		repOf = map[string]string{}
-		for _, rep := range demoted {
-			mono[rep] = true
-			final.ModularRefused++
-			repOf[rep] = rep
-			r3 = append(r3, &job{prefix: rep})
-		}
-		res3, err3 := c.runJobs(r3, k, nil)
-		if res3 == nil {
-			return nil, err3
-		}
-		final.absorb(res3)
-		markFailed(res3, repOf)
-		for _, rep := range demoted {
-			if s, ok := res3.ByPrefix[rep]; ok {
-				final.ByPrefix[rep] = sortedByRouter(s)
-			}
-		}
-	}
-
-	for _, rep := range reps {
-		if f, bad := failedReps[rep]; bad {
-			delete(final.ByPrefix, rep)
+	final.ModularPasses, final.ModularRefused = run.Passes, run.Refused
+	for u, rep := range reps {
+		if f, bad := failed[rep]; bad {
 			final.Failed = append(final.Failed, f)
+			continue
 		}
+		final.ByPrefix[rep] = sortedByRouter(run.Verdicts[u])
 	}
 	sort.Slice(final.Failed, func(i, j int) bool { return final.Failed[i].Prefix < final.Failed[j].Prefix })
-	opts := c.Opts.withDefaults()
 	var runErr error
-	if len(final.Failed) > 0 && !opts.AllowPartial {
+	if len(final.Failed) > 0 && !c.Opts.withDefaults().AllowPartial {
 		runErr = fmt.Errorf("dist: modular run failed") // expandClasses rewrites with member counts
 	}
 	return expandClasses(final, reps, members, runErr)
@@ -1329,11 +1174,6 @@ func (r *Result) absorb(o *Result) {
 	r.Requeued += o.Requeued
 	r.Retried += o.Retried
 	r.Hedged += o.Hedged
-}
-
-func (r *Result) hasPrefix(p string) bool {
-	_, ok := r.ByPrefix[p]
-	return ok
 }
 
 // sortedByRouter returns the summaries ordered by router name.
@@ -1472,18 +1312,6 @@ func doRequest(conn net.Conn, enc *json.Encoder, dec *json.Decoder, j *job, k in
 		return resp, fmt.Errorf("%s", resp.Error), nil
 	}
 	return resp, nil, nil
-}
-
-func dedup(ps []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range ps {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // dedupJobs drops jobs whose settle key repeats, keeping input order.

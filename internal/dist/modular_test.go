@@ -123,3 +123,56 @@ func TestRunModularMatchesRunClasses(t *testing.T) {
 		t.Logf("k=%d: %d classes, %d modular passes, %d refused", k, mod.Classes, mod.ModularPasses, mod.ModularRefused)
 	}
 }
+
+// TestRunModularWithoutPartition pins the dispatch a model with no
+// usable cut gets: every class with an empty Home and no regions runs as
+// one monolithic pass, counted as refused, and matches RunClasses.
+func TestRunModularWithoutPartition(t *testing.T) {
+	w, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := core.Assemble(w.Net, w.Snap, behavior.TrueProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stringClasses [][]string
+	var modClasses []ModularClass
+	for _, cl := range model.Classes() {
+		var ms []string
+		for _, p := range cl.Members {
+			ms = append(ms, p.String())
+		}
+		stringClasses = append(stringClasses, ms)
+		modClasses = append(modClasses, ModularClass{Members: ms})
+	}
+	addrs, stop := startWorkers(t, w, 2)
+	defer stop()
+	coord := &Coordinator{Addrs: addrs}
+	mono, err := coord.RunClasses(stringClasses, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := coord.RunModular(modClasses, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mod.ModularPasses != 0 || mod.ModularRefused != len(modClasses) {
+		t.Fatalf("passes %d, refused %d; want 0 and every one of %d classes", mod.ModularPasses, mod.ModularRefused, len(modClasses))
+	}
+	if len(mod.ByPrefix) != len(mono.ByPrefix) {
+		t.Fatalf("completed %d vs %d prefixes", len(mod.ByPrefix), len(mono.ByPrefix))
+	}
+	for p, want := range mono.ByPrefix {
+		want = sortedByRouter(want)
+		got := mod.ByPrefix[p]
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d vs %d router summaries", p, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s at %s: modular %+v vs monolithic %+v", p, want[i].Router, got[i], want[i])
+			}
+		}
+	}
+}

@@ -30,7 +30,41 @@ type pnode struct {
 // Export encodes the formulas rooted at roots. Shared subterms are
 // stored once; the i-th exported root corresponds to the i-th formula
 // returned by Import.
-func (f *Factory) Export(roots ...F) *Portable {
+func (f *Factory) Export(roots ...F) *Portable { return f.export(nil, roots) }
+
+// ExportCanonical is Export with a canonical encoding: the operands of
+// each And and Or are ordered by a structural hash instead of factory
+// IDs, so equal formulas export to equal bytes whatever order, or
+// factory, they were built in — what a persisted baseline needs to be
+// byte-deterministic.
+func (f *Factory) ExportCanonical(roots ...F) *Portable {
+	hashes := make(map[F]uint64, 2*len(roots)+16)
+	var hash func(F) uint64
+	hash = func(x F) uint64 {
+		if x == False || x == True {
+			return uint64(x) + 1
+		}
+		if h, ok := hashes[x]; ok {
+			return h
+		}
+		n := f.nodes[x]
+		h := mix64(uint64(n.k)<<32 | uint64(n.v))
+		switch n.k {
+		case kNot:
+			h = mix64(h ^ hash(n.a))
+		case kAnd, kOr:
+			ha, hb := hash(n.a), hash(n.b)
+			h = mix64(mix64(h^min(ha, hb)) ^ max(ha, hb))
+		}
+		hashes[x] = h
+		return h
+	}
+	return f.export(func(a, b F) bool { return hash(b) < hash(a) }, roots)
+}
+
+// export encodes roots; swap, when set, reports whether an And or Or
+// node's operands are stored in reverse.
+func (f *Factory) export(swap func(a, b F) bool, roots []F) *Portable {
 	p := &Portable{nodes: make([]pnode, 2, 2+len(roots))}
 	p.nodes[False] = pnode{k: kConst}
 	p.nodes[True] = pnode{k: kConst}
@@ -50,7 +84,11 @@ func (f *Factory) Export(roots ...F) *Portable {
 		case kNot:
 			nd = pnode{k: kNot, a: rec(n.a)}
 		default: // kAnd, kOr
-			nd = pnode{k: n.k, a: rec(n.a), b: rec(n.b)}
+			a, b := n.a, n.b
+			if swap != nil && swap(a, b) {
+				a, b = b, a
+			}
+			nd = pnode{k: n.k, a: rec(a), b: rec(b)}
 		}
 		id := int32(len(p.nodes))
 		p.nodes = append(p.nodes, nd)

@@ -242,3 +242,41 @@ func TestCanonicalKeyConstantsAndCap(t *testing.T) {
 		t.Fatal("uncapped key must succeed")
 	}
 }
+
+// TestExportCanonicalIgnoresBuildOrder builds one formula in two
+// factories whose node IDs run in opposite orders: the plain Export
+// encodings differ, the canonical ones are byte-identical and still
+// import to the same function.
+func TestExportCanonicalIgnoresBuildOrder(t *testing.T) {
+	build := func(f *Factory, order []Var) F {
+		for _, v := range order {
+			f.Var(v) // fix the factory's ID order
+		}
+		return f.And(f.Or(f.Var(0), f.Not(f.Var(1))), f.Or(f.Var(2), f.Var(3)))
+	}
+	fa, fb := NewFactory(), NewFactory()
+	xa, xb := build(fa, []Var{0, 1, 2, 3}), build(fb, []Var{3, 2, 1, 0})
+	plainA, _ := fa.Export(xa).MarshalJSON()
+	plainB, _ := fb.Export(xb).MarshalJSON()
+	if string(plainA) == string(plainB) {
+		t.Fatal("build orders did not change the plain encoding; the test no longer exercises canonicalization")
+	}
+	ca, err := fa.ExportCanonical(xa).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := fb.ExportCanonical(xb).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ca) != string(cb) {
+		t.Fatalf("canonical encodings differ:\n %s\n %s", ca, cb)
+	}
+	dst := NewFactory()
+	back := fa.ExportCanonical(xa).Import(dst)[0]
+	for _, asn := range assignments(4) {
+		if fa.Eval(xa, asn) != dst.Eval(back, asn) {
+			t.Fatalf("canonical export changed the function under %v", asn)
+		}
+	}
+}

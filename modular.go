@@ -1,16 +1,14 @@
 package hoyan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"hoyan/internal/core"
 	"hoyan/internal/igp"
-	"hoyan/internal/netaddr"
-	"hoyan/internal/topo"
 	"hoyan/internal/vet"
 )
 
@@ -23,9 +21,9 @@ type ModularStats struct {
 	Regions int
 	// Passes counts restricted region passes executed (home + import).
 	Passes int
-	// Refused counts units (class representatives, audit members, replay
-	// audits) that fell back to monolithic simulation because a cut could
-	// not soundly express their behavior.
+	// Refused counts class representatives that fell back to monolithic
+	// simulation because a cut could not soundly express their behavior.
+	// Audits always re-simulate monolithically and are not counted.
 	Refused int
 	// Predicted counts prefix classes the static pre-flight
 	// (internal/vet's cutsound analyzer) expected the cut to refuse,
@@ -41,62 +39,20 @@ type ModularStats struct {
 	Notes []string
 }
 
-// unitKind classifies one modular work unit.
-type unitKind uint8
-
-const (
-	unitRep         unitKind = iota // class representative (replicates to members)
-	unitAudit                       // member audit: diff against the representative
-	unitReplayAudit                 // incremental replay audit: diff against the record
-)
-
-// modVerdict is one node's verdict from the pass covering its region.
-type modVerdict struct {
-	node      topo.NodeID
-	min       int
-	reachable bool
-}
-
-// modUnit is one prefix simulation of a modular sweep, assembled from
-// one home pass plus one import pass per remaining region.
-type modUnit struct {
-	job     *sweepJob
-	kind    unitKind
-	prefix  netaddr.Prefix
-	repUnit int // index of the representative unit for unitAudit; -1 otherwise
-
-	home     int
-	summary  *core.CutSummary
-	verdicts []modVerdict
-	simTime  time.Duration
-	refused  string // non-empty: reason this unit fell back to monolithic
-
-	anchorNode topo.NodeID // replay-audit condition anchor; NoNode when none
-	anchorOK   bool
-
-	sum   PrefixSummary
-	viols []Violation
-}
-
-// sweepModular executes the dispatch list region by region. Round 1 runs
-// every unit's home pass (per home region, so only one region's shared
-// state is resident at a time) and captures the cut summaries; round 2
-// runs, per region, the import passes of every unit homed elsewhere.
-// Units a cut cannot soundly express are refused by the core layer and
-// re-run monolithically at the end against a single global Shared.
-// Verdicts merge in global node order, reproducing the monolithic
-// sweepOne fold exactly.
-func (n *Network) sweepModular(model *core.Model, jobs []sweepJob, audit map[netaddr.Prefix]bool,
-	opts Options, copts core.Options, workers, resetEvery int, rep *SweepReport) error {
+// sweepModular runs the representative jobs through the modular schedule
+// (core.RunModular) and stores their reports on the jobs. Each round runs
+// region by region: a region's passes share one region Shared, built for
+// that group and dropped after it, so only one region's working set is
+// resident at a time; monolithic passes share the sweep's global Shared.
+// Verdicts merge in global node order, so the report folds exactly like
+// the monolithic sweepOne.
+func sweepModular(model *core.Model, jobs []sweepJob, opts Options, copts core.Options,
+	workers int, global func() *core.Shared) (*ModularStats, error) {
 	ms := &ModularStats{}
-	rep.Modular = ms
 	note := func(reason string) {
-		for _, s := range ms.Notes {
-			if s == reason {
-				return
-			}
+		if !slices.Contains(ms.Notes, reason) {
+			ms.Notes = append(ms.Notes, reason)
 		}
-		ms.Notes = append(ms.Notes, reason)
 	}
 
 	// Static pre-flight: predict which classes the cut will refuse before
@@ -108,323 +64,96 @@ func (n *Network) sweepModular(model *core.Model, jobs []sweepJob, audit map[net
 		note(fmt.Sprintf("vet pre-flight: %d of %d classes predicted to refuse the cut", ms.Predicted, len(pred.Classes)))
 	}
 
-	// The work units: one per representative, plus one per selected audit
-	// member and replay audit — each is a full (home + imports) modular
-	// simulation of one prefix.
-	var units []*modUnit
-	for ji := range jobs {
-		job := &jobs[ji]
-		if job.audit != nil {
-			u := &modUnit{job: job, kind: unitReplayAudit, prefix: job.members[0], repUnit: -1, anchorNode: topo.NoNode}
-			if rec := job.audit; rec.Cond != nil && rec.CondRouter != "" {
-				node, ok := model.Net.NodeByName(rec.CondRouter)
-				if !ok {
-					return fmt.Errorf("hoyan: incremental replay audit for %s: anchor router %q not in model", u.prefix, rec.CondRouter)
-				}
-				u.anchorNode = node.ID
-			}
-			units = append(units, u)
-			continue
-		}
-		ri := len(units)
-		units = append(units, &modUnit{job: job, kind: unitRep, prefix: job.members[0], repUnit: -1, anchorNode: topo.NoNode})
-		for _, p := range job.members[1:] {
-			if audit[p] {
-				units = append(units, &modUnit{job: job, kind: unitAudit, prefix: p, repUnit: ri, anchorNode: topo.NoNode})
-			}
+	// The schedule's units are the representative jobs; replay audits run
+	// in the sweep's pool afterwards.
+	var units []int
+	for i := range jobs {
+		if jobs[i].audit == nil {
+			units = append(units, i)
 		}
 	}
-
+	homes := make([]int, len(units))
+	var cut *igp.Memo
 	pt, err := core.NewPartition(model)
 	if err != nil {
 		// Global refusal: no usable cut. Every unit runs monolithically.
 		ms.Fallback = true
 		note(err.Error())
-		for _, u := range units {
-			u.refused = err.Error()
+		for u := range homes {
+			homes[u] = -1
 		}
 	} else {
 		ms.Regions = pt.NumRegions()
-		for _, u := range units {
-			home, err := pt.FamilyHome(model, u.prefix)
-			if err != nil {
-				u.refused = err.Error()
+		for u, ji := range units {
+			if homes[u], err = pt.FamilyHome(model, jobs[ji].members[0]); err != nil {
 				note(err.Error())
+			}
+		}
+		cut = core.CutMemo(model, copts, pt)
+	}
+
+	simTime := make([]time.Duration, len(units))
+	exec := func(round []core.ModularPass) ([]core.PassResult[core.Verdict], error) {
+		out := make([]core.PassResult[core.Verdict], len(round))
+		for r := -1; r < ms.Regions; r++ {
+			var group []int
+			for i, p := range round {
+				if p.Region == r {
+					group = append(group, i)
+				}
+			}
+			if len(group) == 0 {
 				continue
 			}
-			u.home = home
-			if u.anchorNode != topo.NoNode && pt.RegionOf(u.anchorNode) < 0 {
-				u.refused = fmt.Sprintf("replay-audit anchor %q outside every region", u.job.audit.CondRouter)
-				note(u.refused)
+			sh := global
+			if r >= 0 {
+				rsh := core.NewRegionShared(model, copts, pt, r, cut)
+				sh = func() *core.Shared { return rsh }
 			}
-		}
-
-		cut := core.CutMemo(model, copts, pt)
-		// Round 1: home passes, one region's working set resident at a time.
-		for r := 0; r < pt.NumRegions(); r++ {
-			var ru []*modUnit
-			for _, u := range units {
-				if u.refused == "" && u.home == r {
-					ru = append(ru, u)
+			// A unit has at most one pass per group, so each goroutine owns
+			// its units' out and simTime slots.
+			err := runPool(sh, len(group), workers, func(next func() *core.Simulator, i int) error {
+				p, pr := round[group[i]], &out[group[i]]
+				prefix := jobs[units[p.Unit]].members[0]
+				t0 := time.Now()
+				var res *core.Result
+				var err error
+				if r < 0 {
+					res, err = next().Run(prefix)
+				} else {
+					res, pr.Summary, err = next().RunRegion(prefix, pt, r, p.Summary)
 				}
-			}
-			if err := runRegionPhase(ru, model, copts, pt, r, cut, true, opts.K, workers, resetEvery, ms); err != nil {
-				return err
-			}
-		}
-		// Round 2: import passes — per region, every unit homed elsewhere.
-		for r := 0; r < pt.NumRegions(); r++ {
-			var ru []*modUnit
-			for _, u := range units {
-				if u.refused == "" && u.home != r {
-					ru = append(ru, u)
+				var uc *core.UnsoundCut
+				if errors.As(err, &uc) {
+					pr.Refused = uc.Reason
+				} else if err != nil {
+					return err
+				} else {
+					pr.Verdicts = res.Verdicts(nil, prefix)
 				}
-			}
-			if err := runRegionPhase(ru, model, copts, pt, r, cut, false, opts.K, workers, resetEvery, ms); err != nil {
-				return err
-			}
-		}
-		for _, u := range units {
-			if u.refused != "" {
-				note(u.refused)
-			}
-		}
-	}
-
-	// Merge per-region verdicts in global node order — the exact fold of
-	// the monolithic sweepOne.
-	for _, u := range units {
-		if u.refused != "" {
-			continue
-		}
-		slices.SortFunc(u.verdicts, func(a, b modVerdict) int { return int(a.node) - int(b.node) })
-		u.sum, u.viols = mergeVerdicts(model, u.prefix, u.verdicts, opts.K, u.simTime)
-	}
-
-	// Refused units re-run monolithically against one global Shared —
-	// the loud fallback, never a silent wrong answer.
-	var refused []*modUnit
-	for _, u := range units {
-		if u.refused != "" {
-			refused = append(refused, u)
-		}
-	}
-	ms.Refused = len(refused)
-	if len(refused) > 0 {
-		gsh := core.NewShared(model, copts)
-		p := workers
-		if p > len(refused) {
-			p = len(refused)
-		}
-		errs := make([]error, p)
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sim := gsh.NewSimulator()
-				done := 0
-				for i := w; i < len(refused); i += p {
-					u := refused[i]
-					if done > 0 && done%resetEvery == 0 {
-						sim.Reset()
-					}
-					done++
-					sum, viols, res, err := sweepOne(sim, model, u.prefix, opts.K)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if u.kind == unitReplayAudit {
-						if err := auditReplay(u.job.audit, sum, viols, res, model, u.prefix); err != nil {
-							errs[w] = err
-							return
-						}
-						u.anchorOK = true
-					}
-					u.sum, u.viols = sum, viols
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	// Assemble the report: replicate representatives to members, run the
-	// audit diffs (representatives merged above, so order is safe).
-	for _, u := range units {
-		switch u.kind {
-		case unitRep:
-			for _, p := range u.job.members {
-				s := u.sum
-				s.Prefix = p.String()
-				rep.Prefixes = append(rep.Prefixes, s)
-				for _, v := range u.viols {
-					v.Prefix = p.String()
-					rep.Violations = append(rep.Violations, v)
-				}
-			}
-		case unitAudit:
-			repU := units[u.repUnit]
-			if err := diffAudit(repU.sum, repU.viols, u.sum, u.viols, repU.prefix, u.prefix); err != nil {
-				return err
-			}
-			rep.Audited++
-		case unitReplayAudit:
-			if u.refused == "" {
-				rec := u.job.audit
-				if err := diffAudit(rec.Summary, rec.Violations, u.sum, u.viols, u.prefix, u.prefix); err != nil {
-					return fmt.Errorf("hoyan: incremental replay audit: stale cached report: %w", err)
-				}
-				if u.anchorNode != topo.NoNode && !u.anchorOK {
-					return fmt.Errorf("hoyan: internal: replay-audit anchor for %s never checked by any region pass", u.prefix)
-				}
-			}
-			if rep.Invalidation != nil {
-				rep.Invalidation.ReplaysAudited++
-			}
-		}
-	}
-	return nil
-}
-
-// runRegionPhase runs one region's passes of a round over the phase's
-// units, sharded across workers. The region's Shared (its IGP memo and
-// cross-prefix memo, layered over the sweep's cut memo) lives only for
-// this phase — that scoping is the modular memory win.
-func runRegionPhase(units []*modUnit, model *core.Model, copts core.Options, pt *core.Partition,
-	region int, cut *igp.Memo, home bool, k, workers, resetEvery int, ms *ModularStats) error {
-	if len(units) == 0 {
-		return nil
-	}
-	ms.Passes += len(units)
-	sh := core.NewRegionShared(model, copts, pt, region, cut)
-	p := workers
-	if p > len(units) {
-		p = len(units)
-	}
-	if p < 1 {
-		p = 1
-	}
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sim := sh.NewSimulator()
-			done := 0
-			for i := w; i < len(units); i += p {
-				if done > 0 && done%resetEvery == 0 {
-					sim.Reset()
-				}
-				done++
-				if err := runUnitPass(sim, units[i], model, pt, region, home, k); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runUnitPass runs one unit's pass in one region: the home pass captures
-// the unit's cut summary, an import pass consumes it. A core refusal
-// (*core.UnsoundCut) marks the unit for monolithic fallback instead of
-// failing the sweep.
-func runUnitPass(sim *core.Simulator, u *modUnit, model *core.Model, pt *core.Partition,
-	region int, home bool, k int) error {
-	t0 := time.Now()
-	var imported *core.CutSummary
-	if !home {
-		imported = u.summary
-	}
-	res, sum, err := sim.RunRegion(u.prefix, pt, region, imported)
-	var uc *core.UnsoundCut
-	if errors.As(err, &uc) {
-		u.refused = uc.Reason
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if home {
-		u.summary = sum
-	}
-	pat := core.AnyRouteTo(u.prefix)
-	for _, node := range model.Net.Nodes() {
-		if pt.RegionOf(node.ID) != region || model.Configs[node.ID].BGP == nil {
-			continue
-		}
-		v := modVerdict{node: node.ID, min: -1, reachable: res.Reachable(node.ID, pat)}
-		if v.reachable {
-			v.min, _ = res.MinFailuresToLose(node.ID, pat)
-		}
-		u.verdicts = append(u.verdicts, v)
-	}
-	if u.kind == unitReplayAudit && u.anchorNode != topo.NoNode && pt.RegionOf(u.anchorNode) == region {
-		rec := u.job.audit
-		fresh := res.ReachCond(u.anchorNode, pat)
-		imported := rec.Cond.Import(res.Sim.F)
-		if len(imported) != 1 || !res.Sim.F.Equivalent(imported[0], fresh) {
-			return fmt.Errorf("hoyan: incremental replay audit for %s: stored reachability condition at %s no longer equivalent to fresh simulation", u.prefix, rec.CondRouter)
-		}
-		u.anchorOK = true
-	}
-	u.simTime += time.Since(t0)
-	return nil
-}
-
-// mergeVerdicts folds a unit's node-ordered verdicts into the report
-// fields, replicating sweepOne's fold: a violation per unreachable BGP
-// speaker, and the smallest within-budget failure count (first node in
-// ID order wins ties) as the prefix's weak point.
-func mergeVerdicts(model *core.Model, prefix netaddr.Prefix, vs []modVerdict, k int, simTime time.Duration) (PrefixSummary, []Violation) {
-	sum := PrefixSummary{Prefix: prefix.String(), MinFailures: -1, SimTime: simTime}
-	minIdx, nviol := scanVerdicts(vs, k)
-	if minIdx >= 0 {
-		sum.MinFailures = vs[minIdx].min
-		sum.WeakestRouter = model.Net.Node(vs[minIdx].node).Name
-	}
-	viols := make([]Violation, 0, nviol)
-	for _, v := range vs {
-		if !v.reachable {
-			viols = append(viols, Violation{
-				Kind: "reachability", Prefix: sum.Prefix,
-				Router: model.Net.Node(v.node).Name, Details: "no route with all links up",
+				simTime[p.Unit] += time.Since(t0)
+				return nil
 			})
+			if err != nil {
+				return nil, err
+			}
 		}
+		for _, pr := range out {
+			if pr.Refused != "" {
+				note(pr.Refused)
+			}
+		}
+		return out, nil
 	}
-	return sum, viols
-}
-
-// scanVerdicts selects the weakest in-budget verdict (the index of the
-// first minimal min <= k among reachable nodes — sweepOne's strict-less
-// fold) and counts violations. It runs once per unit per sweep over
-// every BGP speaker's verdict, on the summary evaluation path.
-//
-//hoyan:hotpath
-func scanVerdicts(vs []modVerdict, k int) (minIdx, nviol int) {
-	minIdx = -1
-	for i := range vs {
-		if !vs[i].reachable {
-			nviol++
-			continue
-		}
-		if vs[i].min <= k && (minIdx == -1 || vs[i].min < vs[minIdx].min) {
-			minIdx = i
-		}
+	run, err := core.RunModular(homes, ms.Regions, exec)
+	if err != nil {
+		return nil, err
 	}
-	return minIdx, nviol
+	ms.Passes, ms.Refused = run.Passes, run.Refused
+	for u, ji := range units {
+		vs := run.Verdicts[u]
+		slices.SortFunc(vs, func(a, b core.Verdict) int { return cmp.Compare(a.Node, b.Node) })
+		jobs[ji].sum, jobs[ji].viols = foldVerdicts(model, jobs[ji].members[0], vs, opts.K, simTime[u])
+	}
+	return ms, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hoyan/internal/config"
+	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/netaddr"
 	"hoyan/internal/topo"
@@ -171,14 +172,70 @@ func TestModularRefusesCrossRegionFamily(t *testing.T) {
 	diffSweepReports(t, "cross-region family refusal", mono, mod)
 }
 
+// TestModularAuditsMatchMonolithic pins the audit half of a modular
+// sweep: with every member audited, the audits re-simulate monolithically
+// against the representatives the region passes produced, and the report
+// still equals the monolithic one. gen.Medium joins outside -short.
+func TestModularAuditsMatchMonolithic(t *testing.T) {
+	cases := []struct {
+		name   string
+		params gen.Params
+	}{{"small", gen.Small()}, {"medium", gen.Medium()}}
+	for _, tc := range cases {
+		if tc.name != "small" && testing.Short() {
+			continue
+		}
+		n, _ := wanNetworkFrom(t, tc.params)
+		mono, err := n.Sweep(Options{K: 3}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := n.Sweep(Options{K: 3, Modular: true, AuditSample: 1}, 4)
+		if err != nil {
+			t.Fatalf("%s: modular audited sweep: %v", tc.name, err)
+		}
+		if mod.Audited == 0 {
+			t.Fatalf("%s: AuditSample 1 audited no member", tc.name)
+		}
+		if mod.Modular == nil || mod.Modular.Fallback {
+			t.Fatalf("%s: expected a modular sweep, got %+v", tc.name, mod.Modular)
+		}
+		diffSweepReports(t, tc.name+"/modular audited vs monolithic", mono, mod)
+	}
+}
+
+// TestModularIncrementalMatchesCold pins replay audits under a modular
+// sweep: after one policy perturbation, an incremental modular sweep
+// that audits every replayed class equals a cold monolithic sweep.
+func TestModularIncrementalMatchesCold(t *testing.T) {
+	n, w := wanNetworkFrom(t, gen.Small())
+	_, store, err := n.SweepBaseline(Options{K: 2}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyPerturbation(t, n, gen.Perturb(w, 3, 1)[0])
+	cold, err := n.Sweep(Options{K: 2}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incr, err := n.Sweep(Options{K: 2, Modular: true, Baseline: store, AuditSample: 1}, 4)
+	if err != nil {
+		t.Fatalf("incremental modular sweep: %v", err)
+	}
+	if incr.Modular == nil || incr.Invalidation == nil || incr.Invalidation.ReplaysAudited == 0 {
+		t.Fatalf("expected audited replays under a modular sweep: modular %+v, invalidation %+v", incr.Modular, incr.Invalidation)
+	}
+	diffSweepReports(t, "incremental modular vs cold", cold, incr)
+}
+
 // TestScanVerdictsAllocBudget measures the //hoyan:hotpath annotation on
 // the summary evaluation path dynamically: scanVerdicts runs once per
-// unit per sweep over every BGP speaker's verdict, and the merge fold
-// must not allocate at all.
+// simulated prefix over every BGP speaker's verdict, and the fold shared
+// by sweepOne and the modular merge must not allocate at all.
 func TestScanVerdictsAllocBudget(t *testing.T) {
-	vs := make([]modVerdict, 512)
+	vs := make([]core.Verdict, 512)
 	for i := range vs {
-		vs[i] = modVerdict{node: topo.NodeID(i), min: i % 5, reachable: i%7 != 0}
+		vs[i] = core.Verdict{Node: topo.NodeID(i), Min: i % 5, Reachable: i%7 != 0}
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		minIdx, nviol := scanVerdicts(vs, 3)

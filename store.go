@@ -340,6 +340,9 @@ func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 		Summary:     sum,
 		Violations:  append([]Violation(nil), viols...),
 	}
+	// A record holds no wall-clock time, so equal sweeps save equal bytes
+	// and a replayed prefix reports SimTime 0: not simulated this run.
+	rec.Summary.SimTime = 0
 	for _, p := range cls.Members {
 		rec.Members = append(rec.Members, p.String())
 	}
@@ -395,7 +398,7 @@ func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 	if node, ok := m.Net.NodeByName(anchor); ok {
 		cond := res.ReachCond(node.ID, core.AnyRouteTo(cls.Rep))
 		rec.CondRouter = anchor
-		rec.Cond = res.Sim.F.Export(cond)
+		rec.Cond = res.Sim.F.ExportCanonical(cond)
 	}
 
 	// Export the reachability condition at every BGP speaker (node-ID
@@ -411,7 +414,7 @@ func captureRecord(res *core.Result, m *core.Model, cls core.PrefixClass,
 		conds = append(conds, res.ReachCond(node.ID, core.AnyRouteTo(cls.Rep)))
 	}
 	if len(conds) > 0 {
-		rec.Conds = res.Sim.F.Export(conds...)
+		rec.Conds = res.Sim.F.ExportCanonical(conds...)
 	}
 	return rec
 }
@@ -436,7 +439,7 @@ type incrementalPlan struct {
 // degrades to re-simulating everything, with the reason recorded loudly
 // in the returned stats.
 func planIncremental(model *core.Model, classes []core.PrefixClass,
-	store *ResultStore, opts Options, reg *behavior.Registry) *incrementalPlan {
+	store *ResultStore, opts Options) *incrementalPlan {
 	plan := &incrementalPlan{
 		dirty:   make([]bool, len(classes)),
 		records: make([]*ClassRecord, len(classes)),
@@ -455,7 +458,7 @@ func planIncremental(model *core.Model, classes []core.PrefixClass,
 	if h := optionsHash(opts); h != store.OptionsHash {
 		return allDirty(fmt.Sprintf("options hash %q does not match baseline %q; full re-sweep", h, store.OptionsHash))
 	}
-	old, err := store.baselineModel(reg)
+	old, err := store.baselineModel(opts.profiles())
 	if err != nil {
 		return allDirty(fmt.Sprintf("baseline model unusable (%v); full re-sweep", err))
 	}
@@ -519,22 +522,12 @@ type IncrementalPlan struct {
 // running any simulation. Sweep performs the same planning internally;
 // this entry point exists for distributed dispatch.
 func (n *Network) PlanIncremental(opts Options, store *ResultStore) (*IncrementalPlan, error) {
-	if len(n.errs) > 0 {
-		return nil, n.errs[0]
-	}
-	if opts.K == 0 {
-		opts.K = 3
-	}
-	reg := opts.Profiles
-	if reg == nil {
-		reg = behavior.TrueProfiles()
-	}
-	model, err := core.Assemble(n.net, n.snap, reg)
+	model, err := n.model(&opts)
 	if err != nil {
 		return nil, err
 	}
 	classes := model.Classes()
-	plan := planIncremental(model, classes, store, opts, reg)
+	plan := planIncremental(model, classes, store, opts)
 	out := &IncrementalPlan{Stats: plan.stats, Delta: plan.delta}
 	for i, cls := range classes {
 		if plan.dirty[i] {
@@ -546,15 +539,8 @@ func (n *Network) PlanIncremental(opts Options, store *ResultStore) (*Incrementa
 			continue
 		}
 		rec := plan.records[i]
-		for _, p := range cls.Members {
-			s := rec.Summary
-			s.Prefix = p.String()
-			out.ReplayedSummaries = append(out.ReplayedSummaries, s)
-			for _, v := range rec.Violations {
-				v.Prefix = p.String()
-				out.ReplayedViolations = append(out.ReplayedViolations, v)
-			}
-		}
+		out.ReplayedSummaries, out.ReplayedViolations = replicate(out.ReplayedSummaries, out.ReplayedViolations,
+			rec.Summary, rec.Violations, cls.Members)
 		out.ReplayedClasses++
 	}
 	return out, nil

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"hoyan/internal/behavior"
 	"hoyan/internal/core"
 	"hoyan/internal/netaddr"
 )
@@ -24,7 +23,8 @@ type PrefixSummary struct {
 	WeakestRouter string
 	// SimTime is the per-prefix simulation time (the Figure 8 sample).
 	// Class members replicated from a representative report carry the
-	// representative's time.
+	// representative's time; prefixes replayed from a baseline store
+	// report 0, since they were not simulated this run.
 	SimTime time.Duration
 }
 
@@ -98,23 +98,25 @@ func (n *Network) SweepBaseline(opts Options, workers int) (*SweepReport, *Resul
 	return n.sweep(opts, workers, true)
 }
 
-// sweepJob is one unit of worker work: a class (or singleton prefix)
-// simulation, or a replay audit of a cached record.
+// sweepJob is one unit of worker work — a class (or singleton prefix)
+// simulation, or a replay audit of a cached record — and its outcome.
 type sweepJob struct {
 	members []netaddr.Prefix // simulate members[0], replicate to all
 	class   int              // index into classes; -1 when unclassed
 	audit   *ClassRecord     // non-nil: replay audit against this record
+
+	sum     PrefixSummary // the representative's report
+	viols   []Violation
+	audited int // members audited against the report
 }
 
 func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, *ResultStore, error) {
-	if len(n.errs) > 0 {
-		return nil, nil, n.errs[0]
+	model, err := n.model(&opts)
+	if err != nil {
+		return nil, nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.K == 0 {
-		opts.K = 3
 	}
 	if capture && opts.NoClasses {
 		return nil, nil, fmt.Errorf("hoyan: baseline capture requires behavior classes (NoClasses is set)")
@@ -123,14 +125,6 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 		// A class record needs one whole-WAN Result (taint set, portable
 		// conditions over every BGP speaker); region passes cannot supply it.
 		return nil, nil, fmt.Errorf("hoyan: baseline capture requires monolithic simulation (Modular is set)")
-	}
-	reg := opts.Profiles
-	if reg == nil {
-		reg = behavior.TrueProfiles()
-	}
-	model, err := core.Assemble(n.net, n.snap, reg)
-	if err != nil {
-		return nil, nil, err
 	}
 	prefixes := model.AnnouncedPrefixes()
 	rep := &SweepReport{Workers: workers}
@@ -156,7 +150,7 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 				Notes:            []string{"classing disabled (NoClasses); incremental replay unavailable, sweeping cold"},
 			}
 		} else {
-			plan = planIncremental(model, classes, opts.Baseline, opts, reg)
+			plan = planIncremental(model, classes, opts.Baseline, opts)
 			rep.Invalidation = plan.stats
 			rep.Delta = plan.delta
 		}
@@ -174,28 +168,16 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 		for _, p := range prefixes {
 			jobs = append(jobs, sweepJob{members: []netaddr.Prefix{p}, class: -1})
 		}
-	case plan == nil:
-		for i, c := range classes {
-			jobs = append(jobs, sweepJob{members: c.Members, class: i})
-		}
 	default:
 		arng := rand.New(rand.NewSource(seed + 1))
 		for i, c := range classes {
-			if plan.dirty[i] {
+			if plan == nil || plan.dirty[i] {
 				jobs = append(jobs, sweepJob{members: c.Members, class: i})
 				continue
 			}
 			// Replay the cached record; audit a seeded sample of replays.
 			rec := plan.records[i]
-			for _, p := range c.Members {
-				s := rec.Summary
-				s.Prefix = p.String()
-				rep.Prefixes = append(rep.Prefixes, s)
-				for _, v := range rec.Violations {
-					v.Prefix = p.String()
-					rep.Violations = append(rep.Violations, v)
-				}
-			}
+			rep.Prefixes, rep.Violations = replicate(rep.Prefixes, rep.Violations, rec.Summary, rec.Violations, c.Members)
 			rep.Replayed++
 			if opts.AuditSample > 0 && arng.Float64() < opts.AuditSample {
 				jobs = append(jobs, sweepJob{members: c.Members, class: i, audit: rec})
@@ -226,117 +208,63 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 		workers = len(jobs)
 	}
 	rep.Workers = workers
-	resetEvery := opts.ResetEvery
-	if resetEvery <= 0 {
-		resetEvery = 1
-	}
 
-	copts := core.DefaultOptions()
-	copts.K = opts.K
-	if opts.DisablePruning {
-		copts.PruneOverK = false
-		copts.PruneImpossible = false
-	}
-	if opts.DisableSimplify {
-		copts.Simplify = false
-	}
-
+	copts := opts.coreOptions()
 	start := time.Now()
 	var captured []*ClassRecord
 	if capture {
 		captured = make([]*ClassRecord, len(classes))
 	}
-	type shardResult struct {
-		summaries     []PrefixSummary
-		violations    []Violation
-		audited       int
-		replayAudited int
-		err           error
-	}
-	results := make([]shardResult, workers)
-	switch {
-	case len(jobs) > 0 && opts.Modular:
-		if err := n.sweepModular(model, jobs, audit, opts, copts, workers, resetEvery, rep); err != nil {
+	// The global Shared is built on first use: a modular sweep needs it
+	// only for monolithic passes and audits.
+	global := sync.OnceValue(func() *core.Shared { return core.NewShared(model, copts) })
+	if opts.Modular && len(jobs) > 0 {
+		if rep.Modular, err = sweepModular(model, jobs, opts, copts, workers, global); err != nil {
 			return nil, nil, err
 		}
-	case len(jobs) > 0:
-		shared := core.NewShared(model, copts)
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < workers; wkr++ {
-			wg.Add(1)
-			go func(wkr int) {
-				defer wg.Done()
-				sim := shared.NewSimulator()
-				done := 0
-				// The returned Result is valid only until the next run call
-				// (the simulator recycles its arena); capture and audits use
-				// it immediately.
-				run := func(p netaddr.Prefix) (PrefixSummary, []Violation, *core.Result, error) {
-					// Unrelated prefixes share no conditions, so the formula
-					// arena only grows across runs; periodic resets keep both
-					// memory and hash-cons lookup costs flat. Re-seeding from
-					// the shared IGP memo makes a reset cheap.
-					if done > 0 && done%resetEvery == 0 {
-						sim.Reset()
-					}
-					done++
-					return sweepOne(sim, model, p, opts.K)
-				}
-				for i := wkr; i < len(jobs); i += workers {
-					job := jobs[i]
-					sum, viols, res, err := run(job.members[0])
-					if err != nil {
-						results[wkr].err = err
-						return
-					}
-					if job.audit != nil {
-						if err := auditReplay(job.audit, sum, viols, res, model, job.members[0]); err != nil {
-							results[wkr].err = err
-							return
-						}
-						results[wkr].replayAudited++
-						continue
-					}
-					if plan != nil {
-						// A dirty class re-simulated under an incremental plan:
-						// stamp the sweep-wide counters so the run's Stats are
-						// self-describing (core.Stats.Invalidation).
-						res.Stats.Invalidation = plan.stats
-					}
-					if captured != nil && job.class >= 0 {
-						rec := captureRecord(res, model, classes[job.class], sum, viols)
-						captured[job.class] = &rec
-					}
-					// Replicate the representative's report to every member,
-					// rewriting the prefix name.
-					for _, p := range job.members {
-						s := sum
-						s.Prefix = p.String()
-						results[wkr].summaries = append(results[wkr].summaries, s)
-						for _, v := range viols {
-							v.Prefix = p.String()
-							results[wkr].violations = append(results[wkr].violations, v)
-						}
-					}
-					for _, p := range job.members[1:] {
-						if !audit[p] {
-							continue
-						}
-						asum, aviols, _, err := run(p)
-						if err != nil {
-							results[wkr].err = err
-							return
-						}
-						if err := diffAudit(sum, viols, asum, aviols, job.members[0], p); err != nil {
-							results[wkr].err = err
-							return
-						}
-						results[wkr].audited++
-					}
-				}
-			}(wkr)
+	}
+	// One pool simulates representatives (unless the modular schedule did),
+	// member audits and replay audits. Each Result is valid only until the
+	// simulator's next run, so capture and audits use it immediately.
+	err = runPool(global, len(jobs), workers, func(next func() *core.Simulator, i int) error {
+		job := &jobs[i]
+		if job.audit != nil || !opts.Modular {
+			sum, viols, res, err := sweepOne(next(), model, job.members[0], opts.K)
+			if err != nil {
+				return err
+			}
+			if job.audit != nil {
+				return auditReplay(job.audit, sum, viols, res, model, job.members[0])
+			}
+			if plan != nil {
+				// A dirty class re-simulated under an incremental plan:
+				// stamp the sweep-wide counters so the run's Stats are
+				// self-describing (core.Stats.Invalidation).
+				res.Stats.Invalidation = plan.stats
+			}
+			if captured != nil && job.class >= 0 {
+				rec := captureRecord(res, model, classes[job.class], sum, viols)
+				captured[job.class] = &rec
+			}
+			job.sum, job.viols = sum, viols
 		}
-		wg.Wait()
+		for _, p := range job.members[1:] {
+			if !audit[p] {
+				continue
+			}
+			asum, aviols, _, err := sweepOne(next(), model, p, opts.K)
+			if err != nil {
+				return err
+			}
+			if err := diffAudit(job.sum, job.viols, asum, aviols, job.members[0], p); err != nil {
+				return err
+			}
+			job.audited++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	rep.Duration = time.Since(start)
@@ -344,16 +272,13 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 	if opts.NoClasses {
 		rep.Classes = len(prefixes)
 	}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, nil, r.err
+	for _, job := range jobs {
+		if job.audit != nil {
+			rep.Invalidation.ReplaysAudited++
+			continue
 		}
-		rep.Prefixes = append(rep.Prefixes, r.summaries...)
-		rep.Violations = append(rep.Violations, r.violations...)
-		rep.Audited += r.audited
-		if rep.Invalidation != nil {
-			rep.Invalidation.ReplaysAudited += r.replayAudited
-		}
+		rep.Prefixes, rep.Violations = replicate(rep.Prefixes, rep.Violations, job.sum, job.viols, job.members)
+		rep.Audited += job.audited
 	}
 	sort.Slice(rep.Prefixes, func(i, j int) bool { return rep.Prefixes[i].Prefix < rep.Prefixes[j].Prefix })
 	sort.Slice(rep.Violations, func(i, j int) bool {
@@ -384,42 +309,121 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 	return rep, store, nil
 }
 
-// sweepOne simulates one prefix and derives its summary and violations —
-// the same code path whether the prefix is a class representative, a
-// singleton of an unclassed sweep, or an audit re-check of a member. The
-// Result is returned for immediate use (taint capture, condition export,
-// replay audits) and becomes invalid at the simulator's next run/Reset.
+// replicate appends a representative's report once per class member,
+// renamed to the member's prefix.
+func replicate(sums []PrefixSummary, viols []Violation, sum PrefixSummary, vs []Violation,
+	members []netaddr.Prefix) ([]PrefixSummary, []Violation) {
+	for _, p := range members {
+		s := sum
+		s.Prefix = p.String()
+		sums = append(sums, s)
+		for _, v := range vs {
+			v.Prefix = s.Prefix
+			viols = append(viols, v)
+		}
+	}
+	return sums, viols
+}
+
+// runPool runs tasks 0..n-1 striped over at most workers goroutines. A
+// task gets its goroutine's simulator, built from shared on first use,
+// by calling next before each run. Unrelated prefixes share no
+// conditions, so next resets the simulator before every run after the
+// first: the formula arena and hash-cons lookups stay flat, and
+// re-seeding from the shared IGP memo keeps the reset cheap. A task's
+// error stops its goroutine; the first error in goroutine order is
+// returned once all have finished.
+func runPool(shared func() *core.Shared, n, workers int, task func(next func() *core.Simulator, i int) error) error {
+	p := min(workers, n)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for w := 0; w < p; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var sim *core.Simulator
+			next := func() *core.Simulator {
+				if sim == nil {
+					sim = shared().NewSimulator()
+				} else {
+					sim.Reset()
+				}
+				return sim
+			}
+			for i := w; i < n; i += p {
+				if errs[w] = task(next, i); errs[w] != nil {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweepOne simulates one prefix and folds its verdicts into a summary and
+// violations — the same code path whether the prefix is a class
+// representative, a singleton of an unclassed sweep, or an audit re-check
+// of a member. The Result is returned for immediate use (taint capture,
+// condition export, replay audits) and becomes invalid at the simulator's
+// next run/Reset.
 func sweepOne(sim *core.Simulator, m *core.Model, p netaddr.Prefix, k int) (PrefixSummary, []Violation, *core.Result, error) {
 	t0 := time.Now()
 	res, err := sim.Run(p)
 	if err != nil {
 		return PrefixSummary{}, nil, nil, err
 	}
-	sum := PrefixSummary{
-		Prefix:      p.String(),
-		MinFailures: -1,
-		SimTime:     time.Since(t0),
-	}
-	var viols []Violation
-	for _, node := range m.Net.Nodes() {
-		if m.Configs[node.ID].BGP == nil {
-			continue
-		}
-		pt := core.AnyRouteTo(p)
-		if !res.Reachable(node.ID, pt) {
-			viols = append(viols, Violation{
-				Kind: "reachability", Prefix: p.String(), Router: node.Name,
-				Details: "no route with all links up",
-			})
-			continue
-		}
-		min, _ := res.MinFailuresToLose(node.ID, pt)
-		if min <= k && (sum.MinFailures == -1 || min < sum.MinFailures) {
-			sum.MinFailures = min
-			sum.WeakestRouter = node.Name
-		}
-	}
+	simTime := time.Since(t0)
+	sum, viols := foldVerdicts(m, p, res.Verdicts(nil, p), k, simTime)
 	return sum, viols, res, nil
+}
+
+// foldVerdicts folds node-ordered verdicts into a prefix's report: a
+// violation per unreachable BGP speaker, and the smallest within-budget
+// failure count (first node in ID order wins ties) as the prefix's weak
+// point.
+func foldVerdicts(m *core.Model, p netaddr.Prefix, vs []core.Verdict, k int, simTime time.Duration) (PrefixSummary, []Violation) {
+	sum := PrefixSummary{Prefix: p.String(), MinFailures: -1, SimTime: simTime}
+	minIdx, nviol := scanVerdicts(vs, k)
+	if minIdx >= 0 {
+		sum.MinFailures = vs[minIdx].Min
+		sum.WeakestRouter = m.Net.Node(vs[minIdx].Node).Name
+	}
+	viols := make([]Violation, 0, nviol)
+	for _, v := range vs {
+		if !v.Reachable {
+			viols = append(viols, Violation{
+				Kind: "reachability", Prefix: sum.Prefix,
+				Router: m.Net.Node(v.Node).Name, Details: "no route with all links up",
+			})
+		}
+	}
+	return sum, viols
+}
+
+// scanVerdicts selects the weakest in-budget verdict (the index of the
+// first minimal Min <= k among reachable nodes) and counts violations. It
+// runs once per simulated prefix over every BGP speaker's verdict, on the
+// summary evaluation path.
+//
+//hoyan:hotpath
+func scanVerdicts(vs []core.Verdict, k int) (minIdx, nviol int) {
+	minIdx = -1
+	for i := range vs {
+		if !vs[i].Reachable {
+			nviol++
+			continue
+		}
+		if vs[i].Min <= k && (minIdx == -1 || vs[i].Min < vs[minIdx].Min) {
+			minIdx = i
+		}
+	}
+	return minIdx, nviol
 }
 
 // auditReplay checks a freshly simulated class representative against

@@ -294,21 +294,6 @@ func TestSweepWorkerClampToJobs(t *testing.T) {
 	}
 }
 
-// TestSweepResetEveryOption: a larger recycle interval must not change
-// verdicts (the batch for this option's default is DESIGN.md's).
-func TestSweepResetEveryOption(t *testing.T) {
-	n, _ := wanNetwork(t)
-	every1, err := n.Sweep(Options{K: 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	every4, err := n.Sweep(Options{K: 2, ResetEvery: 4}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffSweepReports(t, "resetEvery 1 vs 4", every1, every4)
-}
-
 // TestSweepFullWANClassedIdentity is the acceptance run of the PR: the
 // full generated WAN, classed vs unclassed identity plus a 10% audit.
 // ~10 CPU-minutes, so it only runs with HOYAN_SWEEP_FULL=1.
