@@ -26,8 +26,11 @@ lint:
 vet-configs:
 	$(GO) run ./cmd/hoyan vet -dir examples/networks/small
 
+# race needs an explicit timeout: under -race on a 2-CPU machine the root
+# package's gen.Medium sweeps took 1015s (17 min)
+# against go test's 10-minute default. 40m leaves over 2x headroom.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 # bench smoke-runs every benchmark once (-benchtime=1x): not a timing
 # run, just a guarantee that the evaluation harness keeps compiling and
@@ -75,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 	$(GO) test -run='^$$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
+	$(GO) test -run='^$$' -fuzz=FuzzCompileStore -fuzztime=10s ./internal/qc/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz=FuzzParseTemplates -fuzztime=10s ./internal/config/
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixParse -fuzztime=10s ./internal/config/

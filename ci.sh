@@ -28,7 +28,10 @@ if command -v govulncheck >/dev/null 2>&1; then
 else
 	echo "govulncheck: not installed, skipping (advisory)"
 fi
-go test -race ./...
+# The full suite under -race outgrows go test's 10-minute default: the
+# root package's gen.Medium sweeps took 1015s on a 2-CPU machine. 40m
+# leaves over 2x headroom (see the Makefile's race target).
+go test -race -timeout 40m ./...
 # Chaos gate: the crash-recovery matrix (faultnet modes × coordinator
 # kill points) and multi-session pool tests, explicitly under -race even
 # though the full suite above already covers them — this is the line to
@@ -52,6 +55,7 @@ go run ./cmd/hoyanbench -exp modular -mod-preset medium -mod-out=
 go test -run='^$' -fuzz=FuzzPortableDecode -fuzztime=10s ./internal/logic/
 go test -run='^$' -fuzz=FuzzCollectorLine -fuzztime=10s ./internal/collector/
 go test -run='^$' -fuzz=FuzzCompiledEval -fuzztime=10s ./internal/qc/
+go test -run='^$' -fuzz=FuzzCompileStore -fuzztime=10s ./internal/qc/
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/config/
 go test -run='^$' -fuzz=FuzzParseTemplates -fuzztime=10s ./internal/config/
 go test -run='^$' -fuzz=FuzzPrefixParse -fuzztime=10s ./internal/config/

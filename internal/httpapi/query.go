@@ -70,9 +70,15 @@ func newQueryPlane() *queryPlane {
 // publish compiles a store and registers the snapshot; when activate is
 // set it also becomes the serving snapshot atomically. Compilation runs
 // outside the registry lock — queries against the current snapshot are
-// never stalled by a publish.
+// never stalled by a publish — and reuses the active snapshot's
+// compiled classes wherever the store's records match them, so a push
+// compiles only the classes it changed.
 func (q *queryPlane) publish(st *hoyan.ResultStore, activate bool) (*snapEntry, error) {
-	snap, err := qc.CompileStore(st)
+	var prev *qc.Snapshot
+	if a := q.active.Load(); a != nil {
+		prev = a.snap
+	}
+	snap, err := qc.CompileStoreFrom(prev, st)
 	if err != nil {
 		return nil, err
 	}
@@ -161,6 +167,9 @@ type SnapshotInfo struct {
 	Instrs    int    `json:"instrs"`
 	Links     int    `json:"links"`
 	CompileMS int64  `json:"compile_ms"`
+	// ReusedClasses counts the classes carried from the snapshot that was
+	// active at publication instead of compiled.
+	ReusedClasses int `json:"reused_classes"`
 }
 
 func (q *queryPlane) list() []SnapshotInfo {
@@ -172,17 +181,18 @@ func (q *queryPlane) list() []SnapshotInfo {
 		e := q.entries[id]
 		st := e.snap.Stats
 		out = append(out, SnapshotInfo{
-			ID:        e.id,
-			Active:    e == active,
-			Retired:   e.retired.Load(),
-			Published: e.published.UTC().Format(time.RFC3339),
-			K:         e.snap.K,
-			Classes:   st.Classes,
-			Prefixes:  st.Prefixes,
-			Programs:  st.Programs,
-			Instrs:    st.Instrs,
-			Links:     st.Links,
-			CompileMS: st.CompileTime.Milliseconds(),
+			ID:            e.id,
+			Active:        e == active,
+			Retired:       e.retired.Load(),
+			Published:     e.published.UTC().Format(time.RFC3339),
+			K:             e.snap.K,
+			Classes:       st.Classes,
+			Prefixes:      st.Prefixes,
+			Programs:      st.Programs,
+			Instrs:        st.Instrs,
+			Links:         st.Links,
+			CompileMS:     st.CompileTime.Milliseconds(),
+			ReusedClasses: st.Reused,
 		})
 	}
 	return out

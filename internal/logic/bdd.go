@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // bddSpace is a reduced ordered BDD universe attached to a Factory.
 // Variable order is the natural Var order, which matches the order link
@@ -391,38 +388,38 @@ type BDDNode struct {
 // root-to-terminal walk — O(variables on the path) — which is what the
 // query compiler's decision programs are built from. The export is a
 // value snapshot; the factory keeps sole ownership of its BDD space.
+//
+// Nodes are numbered in post-order (lo subtree, hi subtree, node), so
+// children precede parents and the root comes last. A reduced ordered
+// BDD is unique for its function, so equal conditions export equal
+// arrays whatever else the factory has built.
 func (f *Factory) ExportBDD(x F) ([]BDDNode, int32) {
 	root := f.build(x)
 	if root <= bddTrue {
 		return nil, root
 	}
 	s := f.bdd
-	seen := map[int32]bool{}
+	renum := map[int32]int32{bddFalse: 0, bddTrue: 1}
+	var nodes []BDDNode
 	stack := []int32{root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n <= bddTrue || seen[n] {
+		if _, done := renum[n]; done {
+			stack = stack[:len(stack)-1]
 			continue
 		}
-		seen[n] = true
-		stack = append(stack, s.los[n], s.his[n])
-	}
-	ids := make([]int32, 0, len(seen))
-	for n := range seen {
-		ids = append(ids, n)
-	}
-	// Space ids ascend child-to-parent (mk interns children first), so
-	// ascending order is already topological.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	renum := make(map[int32]int32, len(ids)+2)
-	renum[bddFalse], renum[bddTrue] = 0, 1
-	for i, n := range ids {
-		renum[n] = int32(i) + 2
-	}
-	nodes := make([]BDDNode, len(ids))
-	for i, n := range ids {
-		nodes[i] = BDDNode{V: s.vars[n], Lo: renum[s.los[n]], Hi: renum[s.his[n]]}
+		lo, hi := s.los[n], s.his[n]
+		if _, done := renum[lo]; !done {
+			stack = append(stack, lo)
+			continue
+		}
+		if _, done := renum[hi]; !done {
+			stack = append(stack, hi)
+			continue
+		}
+		stack = stack[:len(stack)-1]
+		renum[n] = int32(len(nodes)) + 2
+		nodes = append(nodes, BDDNode{V: s.vars[n], Lo: renum[lo], Hi: renum[hi]})
 	}
 	return nodes, renum[root]
 }

@@ -285,3 +285,30 @@ func TestExportBDD(t *testing.T) {
 		t.Fatalf("contradiction exported as (%v, %d)", nodes, root)
 	}
 }
+
+// TestExportBDDCanonical: a reduced ordered BDD is unique for its
+// function, and the export numbers it without reference to factory IDs.
+// The condition's two sub-BDDs (v1 under v0 up, v2 under v0 failed) are
+// unrelated nodes, interned in opposite orders by the two factories;
+// both must still export the same array.
+func TestExportBDDCanonical(t *testing.T) {
+	export := func(first Var) ([]BDDNode, int32) {
+		f := NewFactory()
+		f.ExportBDD(f.Var(first))
+		x := f.Or(f.And(f.Var(0), f.Var(1)), f.And(f.Not(f.Var(0)), f.Var(2)))
+		return f.ExportBDD(x)
+	}
+	aNodes, aRoot := export(1)
+	bNodes, bRoot := export(2)
+	if aRoot != bRoot || len(aNodes) != len(bNodes) {
+		t.Fatalf("export differs: root %d/%d, %d/%d nodes", aRoot, bRoot, len(aNodes), len(bNodes))
+	}
+	for i := range aNodes {
+		if aNodes[i] != bNodes[i] {
+			t.Fatalf("node %d: %+v vs %+v", i+2, aNodes[i], bNodes[i])
+		}
+	}
+	if int(aRoot) != len(aNodes)+1 {
+		t.Fatalf("root %d is not the last of %d nodes", aRoot, len(aNodes))
+	}
+}

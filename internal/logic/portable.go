@@ -3,6 +3,7 @@ package logic
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // Portable is a factory-independent snapshot of one or more formulas.
@@ -110,6 +111,20 @@ func (p *Portable) NumNodes() int { return len(p.nodes) }
 
 // Root returns the node index of the i-th exported root.
 func (p *Portable) Root(i int) int { return int(p.roots[i]) }
+
+// Equal reports whether p and q are the same encoding: equal node
+// arrays and equal roots. Canonical exports (ExportCanonical) of equal
+// formulas are equal encodings, so this is the content key the query
+// compiler reuses a compiled class under. Nil equals only nil.
+func (p *Portable) Equal(q *Portable) bool {
+	if p == q {
+		return true
+	}
+	if p == nil || q == nil {
+		return false
+	}
+	return slices.Equal(p.nodes, q.nodes) && slices.Equal(p.roots, q.roots)
+}
 
 // NodeShape describes stored node i for external compilers (the query
 // compiler in internal/qc evaluates snapshots without rebuilding them in

@@ -280,3 +280,45 @@ func TestExportCanonicalIgnoresBuildOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestPortableEqual: Equal is encoding equality — the same pointer, a
+// decoded copy and a canonical re-export of the same formula are equal;
+// a different formula, a different root order and nil are not.
+func TestPortableEqual(t *testing.T) {
+	fa, fb := NewFactory(), NewFactory()
+	fb.Var(3) // shift fb's IDs so only the canonical encoding lines up
+	xa, xb := buildDeep(fa, 4), buildDeep(fb, 4)
+	p := fa.ExportCanonical(xa, True)
+	data, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Portable
+	if err := decoded.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]*Portable{
+		"same pointer":        p,
+		"decoded copy":        &decoded,
+		"other factory":       fb.ExportCanonical(xb, True),
+		"canonical re-export": fa.ExportCanonical(xa, True),
+	} {
+		if !p.Equal(q) || !q.Equal(p) {
+			t.Errorf("%s: not equal", name)
+		}
+	}
+	for name, q := range map[string]*Portable{
+		"other formula": fa.ExportCanonical(fa.Not(xa), True),
+		"roots swapped": fa.ExportCanonical(True, xa),
+		"fewer roots":   fa.ExportCanonical(xa),
+		"nil":           nil,
+	} {
+		if p.Equal(q) || q.Equal(p) {
+			t.Errorf("%s: equal", name)
+		}
+	}
+	var none *Portable
+	if !none.Equal(nil) {
+		t.Error("nil does not equal nil")
+	}
+}

@@ -2,8 +2,12 @@ package qc
 
 import (
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"hoyan"
 	"hoyan/internal/logic"
 )
 
@@ -36,7 +40,7 @@ func FuzzCompiledEval(f *testing.F) {
 		fac := logic.NewFactory()
 		roots := p.Import(fac)
 		for ri, root := range roots {
-			prog, err := CompileRoot(&p, ri, -1)
+			prog, err := CompileRoot(&p, ri)
 			if err != nil {
 				t.Fatalf("decoded snapshot root %d refused to compile: %v", ri, err)
 			}
@@ -65,6 +69,59 @@ func FuzzCompiledEval(f *testing.F) {
 					t.Fatalf("root %d: decision eval %v, factory eval %v (bits %#x)", ri, got, want, bits)
 				}
 			}
+		}
+	})
+}
+
+// FuzzCompileStore feeds arbitrary bytes through the store loader and
+// both compile paths: a cold CompileStore and a CompileStoreFrom against
+// the fabricated store's snapshot, so mutations of the seed exercise
+// reuse. Neither may panic; they must succeed or fail together, and
+// when they succeed they must compile the same snapshot — the same
+// MinFail, ReachUp and ClassMinFail per class, the same impact index.
+func FuzzCompileStore(f *testing.F) {
+	seedStore := fabricateStore(f)
+	prev, err := CompileStore(seedStore)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := json.Marshal(seedStore)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(emptyUniverseStore))
+	f.Add([]byte(`{"k":1,"links":[{"a":"a","b":"b"}],"classes":[]}`))
+
+	// One file per worker process, rewritten by every call: a fresh
+	// t.TempDir per input stalls the fuzzer.
+	path := filepath.Join(f.TempDir(), "store.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := hoyan.LoadResultStore(path)
+		var ce *hoyan.CorruptStoreError
+		if err != nil && !(errors.As(err, &ce) && ce.Usable) {
+			return
+		}
+		// Bound the BDD work a fuzzed condition can demand, as
+		// FuzzCompiledEval does.
+		for _, rec := range st.Classes {
+			if rec.Conds != nil && rec.Conds.NumNodes() > 256 {
+				return
+			}
+		}
+		cold, errCold := CompileStore(st)
+		incr, errIncr := CompileStoreFrom(prev, st)
+		if (errCold == nil) != (errIncr == nil) {
+			t.Fatalf("cold compile error %v, incremental compile error %v", errCold, errIncr)
+		}
+		if errCold != nil {
+			return
+		}
+		if d := diffSnapshots(incr, cold); d != "" {
+			t.Fatalf("incremental compile differs from cold: %s", d)
 		}
 	})
 }

@@ -215,11 +215,10 @@ func (p *Program) Eval(failed *FailureSet, s *Scratch) bool {
 // Program. Only the nodes reachable from that root are emitted (the
 // snapshot may carry many roots with shared structure; each compiled
 // program is dense over its own sub-DAG so evaluation never touches
-// another root's nodes). maxVar bounds the variable universe: a
-// condition mentioning a variable beyond it is refused, which is how the
-// store compiler rejects conditions that are not pure link conditions.
-// maxVar < 0 disables the check.
-func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error) {
+// another root's nodes). A negative variable is refused; bounding
+// variables by a link universe is the store compiler's check, over
+// Program.MaxVar.
+func CompileRoot(p *logic.Portable, root int) (*Program, error) {
 	if root < 0 || root >= p.NumRoots() {
 		return nil, fmt.Errorf("qc: root %d out of range (snapshot has %d)", root, p.NumRoots())
 	}
@@ -262,8 +261,8 @@ func CompileRoot(p *logic.Portable, root int, maxVar logic.Var) (*Program, error
 			}
 			remap[i] = emit(instr{op: op})
 		case logic.WalkVar:
-			if s.Variable < 0 || (maxVar >= 0 && s.Variable > maxVar) {
-				return nil, fmt.Errorf("qc: condition mentions variable %d outside the link universe [0,%d]", s.Variable, maxVar)
+			if s.Variable < 0 {
+				return nil, fmt.Errorf("qc: condition mentions negative variable %d", s.Variable)
 			}
 			remap[i] = emit(instr{op: opVar, v: s.Variable})
 			seenVars[s.Variable] = true

@@ -65,7 +65,7 @@ func TestCompileRootMatchesFactoryEval(t *testing.T) {
 
 	sc := &Scratch{}
 	for ri, root := range roots {
-		prog, err := CompileRoot(p, ri, logic.Var(nv-1))
+		prog, err := CompileRoot(p, ri)
 		if err != nil {
 			t.Fatalf("root %d: %v", ri, err)
 		}
@@ -92,7 +92,7 @@ func TestCompileRootDense(t *testing.T) {
 	big := buildCond(f, 12)
 	tiny := f.Var(0)
 	p := f.Export(big, tiny)
-	prog, err := CompileRoot(p, 1, logic.Var(11))
+	prog, err := CompileRoot(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,29 +104,27 @@ func TestCompileRootDense(t *testing.T) {
 	}
 }
 
-// TestCompileRootRejects pins the error paths: out-of-range roots and
-// variables outside the link universe.
+// TestCompileRootRejects pins the error paths: out-of-range roots. A
+// variable beyond the link universe is the store compiler's refusal
+// (TestCompileStoreLinkUniverse).
 func TestCompileRootRejects(t *testing.T) {
 	f := logic.NewFactory()
 	p := f.Export(f.Var(9))
-	if _, err := CompileRoot(p, 1, 20); err == nil {
+	if _, err := CompileRoot(p, 1); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
-	if _, err := CompileRoot(p, -1, 20); err == nil {
+	if _, err := CompileRoot(p, -1); err == nil {
 		t.Fatal("negative root accepted")
 	}
-	if _, err := CompileRoot(p, 0, 5); err == nil {
-		t.Fatal("variable 9 accepted under maxVar 5")
-	}
-	if _, err := CompileRoot(p, 0, -1); err != nil {
-		t.Fatalf("maxVar<0 must disable the universe check: %v", err)
+	if prog, err := CompileRoot(p, 0); err != nil || prog.MaxVar() != 9 {
+		t.Fatalf("single-variable root: %v", err)
 	}
 }
 
 // fabricateStore builds a two-class ResultStore by hand — four links in
 // a square a-b-c-d, class 0 reachable over two paths, class 1 pinned to
 // one fragile link — so snapshot-level indexes have known answers.
-func fabricateStore(t *testing.T) *hoyan.ResultStore {
+func fabricateStore(t testing.TB) *hoyan.ResultStore {
 	t.Helper()
 	f := logic.NewFactory()
 	// Links (vars): 0=a~b 1=b~c 2=a~d 3=c~d.
@@ -273,7 +271,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 	f := logic.NewFactory()
 	cond := buildCond(f, 40)
 	p := f.Export(cond)
-	prog, err := CompileRoot(p, 0, 39)
+	prog, err := CompileRoot(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +314,7 @@ func BenchmarkCompiledEval(b *testing.B) {
 	f := logic.NewFactory()
 	cond := buildCond(f, 64)
 	p := f.Export(cond)
-	prog, err := CompileRoot(p, 0, 63)
+	prog, err := CompileRoot(p, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func BenchmarkDecisionEval(b *testing.B) {
 	f := logic.NewFactory()
 	cond := buildCond(f, 64)
 	p := f.Export(cond)
-	prog, err := CompileRoot(p, 0, 63)
+	prog, err := CompileRoot(p, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package qc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -35,6 +36,10 @@ type Class struct {
 	ClassMinFail int
 
 	routerIdx map[string]int
+	// conds is the condition DAG the class was compiled from: with
+	// Members, Routers and the link universe, the key CompileStoreFrom
+	// reuses the class under.
+	conds *logic.Portable
 }
 
 // Router resolves a router name to its root index.
@@ -55,14 +60,17 @@ type CompileStats struct {
 	Decisions int
 	// Links is the baseline topology's link count (the variable universe).
 	Links int
-	// CompileTime is the wall-clock cost of CompileStore, including the
-	// one-time BDD precomputation of the fixed answers.
+	// Reused counts the classes carried from the previous snapshot
+	// (CompileStoreFrom) instead of compiled.
+	Reused int
+	// CompileTime is the wall-clock cost of the compilation, including
+	// the one-time BDD precomputation of the fixed answers.
 	CompileTime time.Duration
 }
 
 // Snapshot is a fully compiled ResultStore: every class's conditions as
 // flat programs, the prefix→class and link→classes indexes, and the
-// precomputed fixed answers. Immutable after CompileStore; safe for
+// precomputed fixed answers. Immutable after compilation; safe for
 // concurrent queries with per-caller Scratch/FailureSet.
 type Snapshot struct {
 	// K is the failure budget the store was swept under; evaluation is
@@ -94,11 +102,26 @@ func canonicalLink(a, b string) string {
 	return a + "~" + b
 }
 
-// CompileStore compiles a loaded result store for serving. Every class
-// record must carry the per-router conditions (CondRouters/Conds) a
-// baseline captured by this version writes; a store predating the query
-// plane compiles to an error and must be re-captured by one sweep.
+// CompileStore compiles a loaded result store for serving, from
+// scratch: CompileStoreFrom with no previous snapshot.
 func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
+	return CompileStoreFrom(nil, st)
+}
+
+// CompileStoreFrom compiles a loaded result store for serving. Every
+// class record must carry the per-router conditions (CondRouters/Conds)
+// a baseline captured by this version writes; a store predating the
+// query plane compiles to an error and must be re-captured by one sweep.
+//
+// A class of prev (nil: none) is reused instead of compiled when the
+// store's link universe is prev's (same canonical names in the same
+// order, so the same variable numbering) and the record's Members,
+// CondRouters and Conds equal the ones the class was compiled from. A
+// compiled class is a pure function of those four inputs and immutable,
+// so both snapshots share it. The indexes and stats are rebuilt from
+// the programs either way, so a config push compiles only the classes
+// its sweep re-simulated.
+func CompileStoreFrom(prev *Snapshot, st *hoyan.ResultStore) (*Snapshot, error) {
 	start := time.Now()
 	snap := &Snapshot{
 		K:           st.K,
@@ -118,13 +141,16 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 			snap.linkVar[name] = logic.Var(i)
 		}
 	}
-	maxVar := logic.Var(len(st.Links) - 1)
+	if prev != nil && !slices.Equal(prev.linkNames, snap.linkNames) {
+		prev = nil // another variable numbering: nothing carries over
+	}
 
 	// One compile-time factory answers the fixed questions exactly (BDD
 	// min-cost walk); it is discarded when compilation finishes, so its
 	// cost — unlike a simulator's — is paid once per published snapshot,
-	// never per query.
-	fac := logic.NewFactory()
+	// never per query. A store whose every class is reused never needs
+	// one.
+	var fac *logic.Factory
 	for ci := range st.Classes {
 		rec := &st.Classes[ci]
 		if rec.Conds == nil || len(rec.CondRouters) == 0 {
@@ -133,29 +159,20 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 		if rec.Conds.NumRoots() != len(rec.CondRouters) {
 			return nil, fmt.Errorf("qc: class %d: %d condition roots for %d routers", ci, rec.Conds.NumRoots(), len(rec.CondRouters))
 		}
-		roots := rec.Conds.Import(fac)
-		cls := &Class{
-			Members:      append([]string(nil), rec.Members...),
-			Routers:      append([]string(nil), rec.CondRouters...),
-			ClassMinFail: logic.Unfailable,
-			routerIdx:    make(map[string]int, len(rec.CondRouters)),
+		cls := prev.compiledFrom(rec)
+		if cls != nil {
+			snap.Stats.Reused++
+		} else {
+			if fac == nil {
+				fac = logic.NewFactory()
+			}
+			var err error
+			if cls, err = compileClass(fac, rec, len(st.Links)); err != nil {
+				return nil, fmt.Errorf("qc: class %d %w", ci, err)
+			}
 		}
 		classVars := map[logic.Var]bool{}
-		for ri, router := range rec.CondRouters {
-			prog, err := CompileRoot(rec.Conds, ri, maxVar)
-			if err != nil {
-				return nil, fmt.Errorf("qc: class %d router %s: %w", ci, router, err)
-			}
-			prog.attachDecisions(fac.ExportBDD(roots[ri]))
-			reachUp := fac.Eval(roots[ri], nil)
-			minFail := fac.MinFailuresToViolate(roots[ri])
-			cls.Progs = append(cls.Progs, prog)
-			cls.ReachUp = append(cls.ReachUp, reachUp)
-			cls.MinFail = append(cls.MinFail, minFail)
-			cls.routerIdx[router] = ri
-			if reachUp && minFail < cls.ClassMinFail {
-				cls.ClassMinFail = minFail
-			}
+		for _, prog := range cls.Progs {
 			for _, v := range prog.Vars() {
 				classVars[v] = true
 			}
@@ -170,8 +187,8 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 			snap.impact[v] = append(snap.impact[v], ci)
 		}
 		for _, m := range cls.Members {
-			if prev, dup := snap.prefixClass[m]; dup {
-				return nil, fmt.Errorf("qc: prefix %s belongs to classes %d and %d", m, prev, ci)
+			if other, dup := snap.prefixClass[m]; dup {
+				return nil, fmt.Errorf("qc: prefix %s belongs to classes %d and %d", m, other, ci)
 			}
 			snap.prefixClass[m] = ci
 		}
@@ -188,6 +205,61 @@ func CompileStore(st *hoyan.ResultStore) (*Snapshot, error) {
 	snap.Stats.Links = len(st.Links)
 	snap.Stats.CompileTime = time.Since(start)
 	return snap, nil
+}
+
+// compiledFrom returns s's class compiled from a record equal to rec in
+// Members, CondRouters and Conds, or nil (always nil on a nil s).
+func (s *Snapshot) compiledFrom(rec *hoyan.ClassRecord) *Class {
+	if s == nil || len(rec.Members) == 0 {
+		return nil
+	}
+	ci, ok := s.prefixClass[rec.Members[0]]
+	if !ok {
+		return nil
+	}
+	c := s.Classes[ci]
+	if !slices.Equal(c.Members, rec.Members) || !slices.Equal(c.Routers, rec.CondRouters) || !c.conds.Equal(rec.Conds) {
+		return nil
+	}
+	return c
+}
+
+// compileClass compiles one validated record over a universe of links
+// link variables. Every program is compiled, and so checked against the
+// universe, before the conditions are imported into fac: an import
+// sizes the factory's variable table by the largest variable it meets.
+func compileClass(fac *logic.Factory, rec *hoyan.ClassRecord, links int) (*Class, error) {
+	cls := &Class{
+		Members:      append([]string(nil), rec.Members...),
+		Routers:      append([]string(nil), rec.CondRouters...),
+		ClassMinFail: logic.Unfailable,
+		routerIdx:    make(map[string]int, len(rec.CondRouters)),
+		conds:        rec.Conds,
+	}
+	for ri, router := range rec.CondRouters {
+		prog, err := CompileRoot(rec.Conds, ri)
+		if err != nil {
+			return nil, fmt.Errorf("router %s: %w", router, err)
+		}
+		// An empty universe admits no variable at all.
+		if int(prog.MaxVar()) >= links {
+			return nil, fmt.Errorf("router %s: condition mentions variable %d outside a universe of %d links", router, prog.MaxVar(), links)
+		}
+		cls.Progs = append(cls.Progs, prog)
+		cls.routerIdx[router] = ri
+	}
+	roots := rec.Conds.Import(fac)
+	for ri, prog := range cls.Progs {
+		prog.attachDecisions(fac.ExportBDD(roots[ri]))
+		reachUp := fac.Eval(roots[ri], nil)
+		minFail := fac.MinFailuresToViolate(roots[ri])
+		cls.ReachUp = append(cls.ReachUp, reachUp)
+		cls.MinFail = append(cls.MinFail, minFail)
+		if reachUp && minFail < cls.ClassMinFail {
+			cls.ClassMinFail = minFail
+		}
+	}
+	return cls, nil
 }
 
 // ClassOf resolves a prefix to its compiled class.
@@ -219,7 +291,7 @@ func (s *Snapshot) LinkName(v logic.Var) string {
 }
 
 // Impacted returns the classes whose conditions mention link v, sorted
-// by class index. The slice is shared — callers must not mutate it.
+// by class index, in a fresh slice the caller owns.
 func (s *Snapshot) Impacted(v logic.Var) []*Class {
 	if v < 0 || int(v) >= len(s.impact) {
 		return nil
