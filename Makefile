@@ -22,9 +22,12 @@ lint:
 # vet-configs runs the config-level static analyzers (hoyan vet, see
 # DESIGN.md "Config vet") over the committed example network. It must be
 # finding-free: the corpus is the analyzers' false-positive contract in
-# CI, the config-plane twin of `make lint`.
+# CI, the config-plane twin of `make lint`. The corpus must also stay
+# audit-clean: `hoyan audit` (conflicts, group equivalence, racing)
+# reports no violation on it.
 vet-configs:
 	$(GO) run ./cmd/hoyan vet -dir examples/networks/small
+	$(GO) run ./cmd/hoyan audit -dir examples/networks/small
 
 # race needs an explicit timeout: under -race on a 2-CPU machine the root
 # package's gen.Medium sweeps took 1015s (17 min)

@@ -131,6 +131,9 @@ func (v *Verifier) AuditRacing(checkAll bool) ([]Violation, error) {
 // packets cannot reach the gateway (data-plane ACL blackholes and LPM
 // captures; §5.1's route-vs-packet distinction).
 func (v *Verifier) AuditPacketGaps(fromRouters []string) ([]Violation, error) {
+	if len(fromRouters) == 0 {
+		return nil, nil // no source router: no FIB is needed
+	}
 	var out []Violation
 	for _, p := range v.model.AnnouncedPrefixes() {
 		anns := v.model.AnnouncersOf(p)

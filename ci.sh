@@ -19,8 +19,9 @@ if ! go run ./cmd/hoyanlint -json ./... >"$lint_report"; then
 fi
 # Config-plane static analysis: hoyan vet over the committed example
 # network must be finding-free — the analyzers' false-positive contract
-# (see DESIGN.md, "Config vet").
+# (see DESIGN.md, "Config vet"). It must stay audit-clean as well.
 go run ./cmd/hoyan vet -dir examples/networks/small
+go run ./cmd/hoyan audit -dir examples/networks/small
 # govulncheck is advisory when present: the container has no module
 # network access, so absence or failure must not gate the build.
 if command -v govulncheck >/dev/null 2>&1; then

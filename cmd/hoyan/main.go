@@ -13,19 +13,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
 	"hoyan"
-	"hoyan/internal/behavior"
-	"hoyan/internal/config"
 	"hoyan/internal/core"
-	"hoyan/internal/dataplane"
 	"hoyan/internal/dist"
 	"hoyan/internal/gen"
 	"hoyan/internal/netaddr"
-	"hoyan/internal/racing"
-	"hoyan/internal/topo"
 	"hoyan/internal/vet"
 )
 
@@ -42,41 +38,53 @@ func usage() {
 
 commands:
   route   -dir DIR -prefix P -router R [-k N]   route reachability under failures
-  packet  -dir DIR -prefix P -src R [-k N]      packet reachability to the gateway
+  packet  -dir DIR -prefix P -src R [-k N]      packet reachability to any announcer
+                                                of the prefix
   equiv   -dir DIR -a R1 -b R2                  role equivalence of two routers
   racing  -dir DIR -prefix P                    update-racing ambiguity
-  audit   -dir DIR [-k N]                       full audit (conflicts, groups, racing)
-  update  -dir DIR -device R -lines "l1;l2"     what-if check of an incremental update
+  audit   -dir DIR [-k N]                       full audit: origin conflicts,
+                                                redundancy-group equivalence, and
+                                                racing of multi-origin prefixes
+  update  -dir DIR -device R -lines "l1;l2"     what-if check of an incremental update:
+                                                every best-route change it causes
   check   -dir DIR -intents FILE [-k N]         verify an operator intent file
   vet     -dir DIR [-json] [-only a,b] [-k N]   static configuration analysis: find
                                                 config defects and predict modular
                                                 refusals without simulating; exit 1
                                                 on findings (info advisories never
                                                 fail a run), 2 on usage errors
-  sweep   -dir DIR -workers a:p,b:p [-k N]      distributed whole-network sweep
+  sweep   -dir DIR [-k N]                       whole-network sweep, in-process by
+                                                default
+          [-workers a:p,b:p]                    dispatch to hoyanworker processes
           [-retries N] [-req-timeout D] [-dial-timeout D]
-          [-hedge-after D] [-partial]           fault-tolerance knobs
+          [-hedge-after D] [-partial]           fault-tolerance knobs (-workers)
           [-no-classes]                         one simulation per prefix instead
                                                 of per behavior class
           [-baseline FILE]                      incremental re-verification: diff
                                                 against a saved baseline, simulate
                                                 only invalidated classes, replay
                                                 the rest (with -workers, only the
-                                                dirty classes are dispatched)
-          [-save-baseline FILE]                 local sweep that also captures a
-                                                baseline store (reports, taints,
-                                                portable conditions)
-          [-no-incremental]                     ignore -baseline, sweep cold
-          [-audit-sample F] [-threads N]        local sweep knobs: re-simulate a
+                                                dirty classes are dispatched);
+                                                omit it to sweep cold
+          [-save-baseline FILE]                 also capture a baseline store
+                                                (reports, taints, portable
+                                                conditions); in-process only
+          [-modular]                            per-region passes stitched through
+                                                interface summaries
+          [-audit-sample F] [-threads N]        in-process knobs: re-simulate a
                                                 fraction of replicas/replays;
                                                 goroutines (0 = GOMAXPROCS)
-          [-journal FILE]                       crash-safe sweep session: journal
+          [-journal FILE]                       crash-safe session (-workers): journal
                                                 class completions to FILE so a
                                                 killed coordinator can resume
           [-resume]                             resume the -journal session:
                                                 replay journaled classes, dispatch
                                                 only the remainder
           [-session ID]                         session id recorded in the journal
+
+        -no-classes, -baseline, -modular and -journal compose with each other
+        and with -workers. Refused: -save-baseline with -workers or -modular,
+        -journal without -workers or with -modular, -resume without -journal.
 
 exit codes:
   0  verified clean
@@ -117,8 +125,7 @@ func main() {
 	noClasses := fs.Bool("no-classes", false, "sweep: simulate every prefix instead of one representative per behavior class")
 	modular := fs.Bool("modular", false, "sweep: per-region passes stitched through interface summaries, O(WAN/regions) working set (falls back to monolithic, loudly, when no usable cut exists)")
 	baseline := fs.String("baseline", "", "sweep: baseline result store for incremental re-verification")
-	saveBaseline := fs.String("save-baseline", "", "sweep: write a baseline result store after a local sweep")
-	noIncr := fs.Bool("no-incremental", false, "sweep: ignore -baseline and sweep cold")
+	saveBaseline := fs.String("save-baseline", "", "sweep: write a baseline result store after an in-process sweep")
 	auditSample := fs.Float64("audit-sample", 0, "sweep: fraction of replicated members and cached replays to re-simulate and check")
 	threads := fs.Int("threads", 0, "sweep: local goroutines when no -workers given (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "vet: emit machine-readable diagnostics instead of text")
@@ -138,170 +145,86 @@ func main() {
 	if err != nil {
 		fail(err.Error())
 	}
-	build := func(snap config.Snapshot) (*core.Model, *core.Simulator) {
-		m, err := core.Assemble(net, snap, behavior.TrueProfiles())
-		if err != nil {
-			fail(err.Error())
-		}
-		opts := core.DefaultOptions()
-		opts.K = *k
-		return m, core.NewSimulator(m, opts)
+	hn := hoyan.NetworkFrom(net, snap)
+	opts := hoyan.Options{K: *k}
+	verifier := func(n *hoyan.Network) *hoyan.Verifier {
+		v, err := n.Verifier(opts)
+		check(err)
+		return v
 	}
 
 	switch cmd {
 	case "route":
 		need(*prefix, "-prefix")
 		need(*router, "-router")
-		m, sim := build(snap)
-		p := mustPrefix(*prefix)
-		res, err := sim.Run(p)
-		if err != nil {
-			fail(err.Error())
-		}
-		id, ok := m.Resolve(*router)
-		if !ok {
-			fail("unknown router " + *router)
-		}
-		min, flen := res.MinFailuresToLose(id, core.AnyRouteTo(p))
-		fmt.Printf("route %s @ %s: reachable=%v\n", p, *router, res.Reachable(id, core.AnyRouteTo(p)))
-		if min > *k {
-			fmt.Printf("  survives any %d link failures (formula len %d)\n", *k, flen)
-		} else {
-			fs, _ := res.WitnessFailure(id, core.AnyRouteTo(p))
-			var names []string
-			for _, l := range fs {
-				names = append(names, m.Net.Link(l).Name)
-			}
-			fmt.Printf("  breaks with %d failures: %v\n", min, names)
+		rep, err := verifier(hn).RouteReach(*prefix, *router)
+		check(err)
+		fmt.Printf("route %s @ %s: reachable=%v\n", *prefix, *router, rep.Reachable)
+		switch {
+		case rep.Tolerant:
+			fmt.Printf("  survives any %d link failures (formula len %d)\n", *k, rep.FormulaLen)
+		case rep.Reachable:
+			fmt.Printf("  breaks with %d failures: %v\n", rep.MinFailures, rep.Witness)
 		}
 	case "packet":
 		need(*prefix, "-prefix")
 		need(*src, "-src")
-		m, sim := build(snap)
-		p := mustPrefix(*prefix)
-		res, err := sim.Run(p)
-		if err != nil {
-			fail(err.Error())
-		}
-		id, ok := m.Resolve(*src)
-		if !ok {
-			fail("unknown router " + *src)
-		}
-		anns := m.AnnouncersOf(p)
-		if len(anns) == 0 {
-			fail("nobody announces " + p.String())
-		}
-		fib := dataplane.Build(res)
-		pr := fib.PacketReach(id, 0, p.Addr+1, anns[0])
-		min := sim.F.MinFailuresToViolate(pr.Cond)
-		fmt.Printf("packet %s -> %s (gw %s): reachable=%v min-failures=%s\n",
-			*src, p, m.Net.Node(anns[0]).Name, sim.F.Eval(pr.Cond, nil), minStr(min, *k))
+		rep, err := verifier(hn).PacketReach(*prefix, *src)
+		check(err)
+		fmt.Printf("packet %s -> %s (any announcer): reachable=%v min-failures=%s\n",
+			*src, *prefix, rep.Reachable, minStr(rep.MinFailures, *k))
 	case "equiv":
 		need(*a, "-a")
 		need(*b, "-b")
-		m, sim := build(snap)
-		na, ok1 := m.Resolve(*a)
-		nb, ok2 := m.Resolve(*b)
-		if !ok1 || !ok2 {
-			fail("unknown router")
+		rep, err := verifier(hn).RoleEquivalence(*a, *b)
+		check(err)
+		for _, d := range rep.Differences {
+			fmt.Printf("  %s\n", d)
 		}
-		diffs := 0
-		for _, p := range m.AnnouncedPrefixes() {
-			res, err := sim.Run(p)
-			if err != nil {
-				fail(err.Error())
-			}
-			for _, d := range res.EquivalentRoles(na, nb) {
-				diffs++
-				fmt.Printf("  %s: %s (%s=%s, %s=%s)\n", d.Prefix, d.Field, *a, d.A, *b, d.B)
-			}
-		}
-		if diffs == 0 {
+		if rep.Equivalent {
 			fmt.Printf("%s and %s are equivalent roles\n", *a, *b)
 		} else {
-			fmt.Printf("%d divergences\n", diffs)
+			fmt.Printf("%d divergences\n", len(rep.Differences))
 			exit(1)
 		}
 	case "racing":
 		need(*prefix, "-prefix")
-		_, sim := build(snap)
-		rep, err := racing.Detect(sim, mustPrefix(*prefix), racing.DefaultOptions())
-		if err != nil {
-			fail(err.Error())
-		}
+		rep, err := verifier(hn).CheckRacing(*prefix)
+		check(err)
 		if rep.Ambiguous {
-			fmt.Printf("AMBIGUOUS: %d convergences; order-dependent at %d routers\n",
-				len(rep.Solutions), len(rep.AmbiguousNodes))
+			fmt.Printf("AMBIGUOUS: %d convergences; order-dependent at %d routers %v\n",
+				rep.Convergences, len(rep.AmbiguousRouters), rep.AmbiguousRouters)
 			exit(1)
 		}
 		fmt.Println("convergence is deterministic")
 	case "audit":
-		m, sim := build(snap)
-		violations := 0
-		for _, p := range m.AnnouncedPrefixes() {
-			if anns := m.AnnouncersOf(p); len(anns) > 1 {
-				var names []string
-				for _, x := range anns {
-					names = append(names, m.Net.Node(x).Name)
-				}
-				fmt.Printf("[conflict] %s announced by %v\n", p, names)
-				violations++
-			}
+		viols, err := verifier(hn).AuditAll(nil)
+		check(err)
+		for _, v := range viols {
+			fmt.Println(v)
 		}
-		groups := m.Net.NodeGroups()
-		groupNames := make([]string, 0, len(groups))
-		for g := range groups {
-			groupNames = append(groupNames, g)
-		}
-		sort.Strings(groupNames)
-		for _, g := range groupNames {
-			members := groups[g]
-			for _, p := range m.AnnouncedPrefixes() {
-				res, err := sim.Run(p)
-				if err != nil {
-					fail(err.Error())
-				}
-				for i := 1; i < len(members); i++ {
-					for _, d := range res.EquivalentRoles(members[0], members[i]) {
-						fmt.Printf("[equivalence] group %s prefix %s: %s\n", g, d.Prefix, d.Field)
-						violations++
-					}
-				}
-			}
-		}
-		fmt.Printf("audit complete: %d violations\n", violations)
-		if violations > 0 {
+		fmt.Printf("audit complete: %d violations\n", len(viols))
+		if len(viols) > 0 {
 			exit(1)
 		}
 	case "update":
 		need(*device, "-device")
 		need(*lines, "-lines")
-		up := config.Update{Device: *device, Lines: strings.Split(*lines, ";")}
-		target, err := snap.Apply([]config.Update{up})
-		if err != nil {
-			fail(err.Error())
-		}
-		mBefore, simBefore := build(snap)
-		_, simAfter := build(target)
+		target := hn.Clone()
+		check(target.ApplyUpdate(*device, strings.Split(*lines, ";")...))
+		before, after := verifier(hn), verifier(target)
+		// A prefix the update adds or withdraws is diffed too.
+		prefixes := append(before.Prefixes(), after.Prefixes()...)
+		sort.Strings(prefixes)
 		changed := 0
-		for _, p := range mBefore.AnnouncedPrefixes() {
-			resB, err := simBefore.Run(p)
-			if err != nil {
-				fail(err.Error())
-			}
-			resA, err := simAfter.Run(p)
-			if err != nil {
-				fail(err.Error())
-			}
-			for _, node := range mBefore.Net.Nodes() {
-				b, okB := resB.BestUnder(node.ID, p, nil)
-				a2, okA := resA.BestUnder(node.ID, p, nil)
-				switch {
-				case okB != okA:
-					fmt.Printf("[change] %s @ %s: present %v -> %v\n", p, node.Name, okB, okA)
-					changed++
-				case okB && (b.Protocol != a2.Protocol || b.NextHop != a2.NextHop):
-					fmt.Printf("[change] %s @ %s: %v -> %v\n", p, node.Name, b, a2)
+		for _, p := range slices.Compact(prefixes) {
+			for _, r := range before.Routers() {
+				was, err := before.BestRoute(p, r)
+				check(err)
+				now, err := after.BestRoute(p, r)
+				check(err)
+				if was != now {
+					fmt.Printf("[change] %s @ %s: %s -> %s\n", p, r, routeStr(was), routeStr(now))
 					changed++
 				}
 			}
@@ -310,25 +233,11 @@ func main() {
 	case "check":
 		need(*intents, "-intents")
 		raw, err := os.ReadFile(*intents)
-		if err != nil {
-			fail(err.Error())
-		}
+		check(err)
 		set, err := hoyan.ParseIntents(string(raw))
-		if err != nil {
-			fail(err.Error())
-		}
-		hn, err := hoyan.LoadDirectory(*dir)
-		if err != nil {
-			fail(err.Error())
-		}
-		v, err := hn.Verifier(hoyan.Options{K: *k})
-		if err != nil {
-			fail(err.Error())
-		}
-		viols, err := v.CheckIntentSet(set)
-		if err != nil {
-			fail(err.Error())
-		}
+		check(err)
+		viols, err := verifier(hn).CheckIntentSet(set)
+		check(err)
 		for _, vi := range viols {
 			fmt.Println(vi)
 		}
@@ -337,10 +246,6 @@ func main() {
 			exit(1)
 		}
 	case "vet":
-		m, err := core.Assemble(net, snap, behavior.TrueProfiles())
-		if err != nil {
-			fail(err.Error())
-		}
 		analyzers := vet.Analyzers()
 		if *only != "" {
 			analyzers = analyzers[:0]
@@ -355,10 +260,8 @@ func main() {
 		}
 		// -k mirrors the sweep the vet run front-runs: cutsound keys its
 		// refusal predictions on the failure budget.
-		diags, err := vet.RunBudget(m, analyzers, *k)
-		if err != nil {
-			fail(err.Error())
-		}
+		diags, err := vet.RunBudget(verifier(hn).Model(), analyzers, *k)
+		check(err)
 		findings := vet.Findings(diags)
 		if *jsonOut {
 			if diags == nil {
@@ -366,11 +269,9 @@ func main() {
 			}
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(vetReport{
+			check(enc.Encode(vetReport{
 				Findings: findings, Advisories: len(diags) - findings, Diagnostics: diags,
-			}); err != nil {
-				fail(err.Error())
-			}
+			}))
 		} else {
 			for _, d := range diags {
 				fmt.Println(d)
@@ -381,124 +282,41 @@ func main() {
 			exit(1)
 		}
 	case "sweep":
-		if *saveBaseline != "" && *workers != "" {
+		// Each refusal names a capability that does not exist; every other
+		// combination composes.
+		switch {
+		case *saveBaseline != "" && *workers != "":
 			fail("-save-baseline captures taints and conditions locally; drop -workers")
-		}
-		if *journal != "" && (*workers == "" || *noClasses || *baseline != "") {
-			fail("-journal needs a distributed classed sweep (-workers, no -no-classes/-baseline)")
-		}
-		if *resume && *journal == "" {
+		case *saveBaseline != "" && *modular:
+			fail("-modular cannot capture a baseline (portable conditions require monolithic simulation)")
+		case *journal != "" && *workers == "":
+			fail("-journal needs a distributed sweep (-workers)")
+		case *journal != "" && *modular:
+			fail("-journal records monolithic class completions; drop -modular")
+		case *resume && *journal == "":
 			fail("-resume needs -journal")
 		}
-		if *modular && *saveBaseline != "" {
-			fail("-modular cannot capture a baseline (portable conditions require monolithic simulation)")
+		sopts := hoyan.Options{K: *k, NoClasses: *noClasses, Modular: *modular, AuditSample: *auditSample}
+		if *baseline != "" {
+			if sopts.Baseline = loadBaseline(*baseline); sopts.Baseline == nil {
+				fmt.Println("no usable baseline; sweeping cold")
+			}
 		}
 		if *workers == "" {
-			if *baseline == "" && *saveBaseline == "" && !*modular {
-				fail("missing -workers (local sweeps need -baseline, -save-baseline, or -modular)")
-			}
-			localSweep(net, snap, *k, *noClasses, *noIncr, *modular, *auditSample, *threads, *baseline, *saveBaseline)
-			exit(0)
+			localSweep(hn, sopts, *threads, *saveBaseline)
+			break
 		}
-		if *baseline != "" && *noClasses {
-			fmt.Println("note: -no-classes disables incremental replay; sweeping cold")
-		}
-		opts := dist.DefaultOptions()
-		opts.MaxAttempts = *retries
-		opts.RequestTimeout = *reqTimeout
-		opts.DialTimeout = *dialTimeout
-		opts.HedgeAfter = *hedgeAfter
-		opts.AllowPartial = *partial
+		dopts.MaxAttempts = *retries
+		dopts.RequestTimeout = *reqTimeout
+		dopts.DialTimeout = *dialTimeout
+		dopts.HedgeAfter = *hedgeAfter
+		dopts.AllowPartial = *partial
 		// Always pin the model: multi-session workers (-extra-dirs) hold
 		// several networks, and an unhashed request would silently run
 		// against whichever one is their default.
-		opts.ModelHash = dist.ModelHash(net, snap)
-		coord := &dist.Coordinator{Addrs: strings.Split(*workers, ","), Opts: opts}
-		if *baseline != "" && !*noIncr && !*noClasses {
-			if store := loadBaseline(*baseline); store != nil {
-				distIncrementalSweep(coord, net, snap, *k, store)
-				exit(0)
-			}
-			fmt.Println("no usable baseline; sweeping cold")
-		}
-		if *modular && (*noClasses || *journal != "") {
-			fail("-modular needs a classed sweep without -journal (sessions journal monolithic class completions)")
-		}
-		m, _ := build(snap)
-		var res *dist.Result
-		var err error
-		if *noClasses {
-			var prefixes []string
-			for _, p := range m.AnnouncedPrefixes() {
-				prefixes = append(prefixes, p.String())
-			}
-			res, err = coord.Run(prefixes, *k)
-		} else {
-			classes := m.Classes()
-			jobs := make([][]string, 0, len(classes))
-			total := 0
-			for _, c := range classes {
-				var cl []string
-				for _, p := range c.Members {
-					cl = append(cl, p.String())
-				}
-				total += len(cl)
-				jobs = append(jobs, cl)
-			}
-			switch {
-			case *journal != "":
-				res, err = sessionSweep(coord, jobs, total, *k, *journal, *sessionID, *resume, net, snap)
-			case *modular:
-				res, err = modularSweep(coord, m, classes, jobs, total, *k)
-			default:
-				fmt.Printf("dispatching %d behavior classes for %d prefixes\n", len(jobs), total)
-				res, err = coord.RunClasses(jobs, *k)
-			}
-		}
-		if err != nil {
-			fail(err.Error())
-		}
-		bad := 0
-		for _, p := range sortedPrefixes(res.ByPrefix) {
-			for _, s := range res.ByPrefix[p] {
-				if !s.Reachable {
-					fmt.Printf("[violation] %s unreachable at %s\n", p, s.Router)
-					bad++
-				}
-			}
-		}
-		for _, f := range res.Failed {
-			fmt.Printf("[failed] %s after %d dispatches: %s\n", f.Prefix, f.Dispatches, f.LastError)
-		}
-		if res.Requeued+res.Retried+res.Hedged > 0 {
-			fmt.Printf("resilience: %d jobs re-queued, %d retried, %d hedged\n",
-				res.Requeued, res.Retried, res.Hedged)
-		}
-		if res.Resumed+res.Redispatched > 0 {
-			fmt.Printf("session: %d classes replayed from the journal, %d re-dispatched after the crash\n",
-				res.Resumed, res.Redispatched)
-		}
-		if res.Classes+res.Resumed > 0 {
-			fmt.Printf("distributed sweep: %d/%d prefixes (%d classes, %d replicated) over %d workers, %d violations\n",
-				len(res.ByPrefix), len(res.ByPrefix)+len(res.Failed), res.Classes+res.Resumed, res.Replicated, len(res.Assigned), bad)
-		} else {
-			fmt.Printf("distributed sweep: %d/%d prefixes over %d workers, %d violations\n",
-				len(res.ByPrefix), len(res.ByPrefix)+len(res.Failed), len(res.Assigned), bad)
-		}
-		// Exit codes (documented in usage): incompleteness dominates, so a
-		// -partial run with failed prefixes is 3 even when the completed
-		// subset is clean — CI must not mistake a partial sweep for a
-		// verified network.
-		code := 0
-		if bad > 0 {
-			code = 1
-		}
-		if len(res.Failed) > 0 {
-			code = 3
-		}
-		if code != 0 {
-			exit(code)
-		}
+		dopts.ModelHash = dist.ModelHash(net, snap)
+		coord := &dist.Coordinator{Addrs: strings.Split(*workers, ","), Opts: dopts}
+		distSweep(coord, hn, verifier(hn).Model(), sopts, *journal, *sessionID, *resume)
 	default:
 		usage()
 	}
@@ -557,76 +375,33 @@ func fail(msg string) {
 	exit(1)
 }
 
-// sortedPrefixes returns the result's prefix keys in sorted order so
-// violation reports print deterministically run to run.
-func sortedPrefixes(byPrefix map[string][]dist.RouterSummary) []string {
-	keys := make([]string, 0, len(byPrefix))
-	for p := range byPrefix {
-		keys = append(keys, p)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func mustPrefix(s string) netaddr.Prefix {
-	p, err := netaddr.Parse(s)
+func check(err error) {
 	if err != nil {
 		fail(err.Error())
 	}
-	return p
 }
 
 func minStr(min, k int) string {
-	if min > k {
+	if min < 0 {
 		return fmt.Sprintf(">%d", k)
 	}
 	return fmt.Sprint(min)
 }
 
-// sessionSweep runs (or resumes) a journaled distributed sweep: every
-// class completion is fsync'd to the journal before it is counted, so a
-// killed coordinator resumes with -resume and re-simulates only the
-// classes the journal does not cover. The journal is removed after a
-// fully successful run and kept (with a hint) otherwise.
-func sessionSweep(coord *dist.Coordinator, jobs [][]string, total, k int,
-	path, id string, resume bool, net *topo.Network, snap config.Snapshot) (*dist.Result, error) {
-	modelHash := dist.ModelHash(net, snap)
-	var s *dist.Session
-	var err error
-	if resume {
-		s, err = dist.Resume(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.MatchesClasses(jobs); err != nil {
-			s.Close()
-			return nil, err
-		}
-		fmt.Printf("resuming session %s: %d/%d classes journaled done, %d were in flight at the crash\n",
-			s.ID(), s.Completed(), len(jobs), s.Redispatched())
-	} else {
-		if id == "" {
-			id = fmt.Sprintf("sweep-%d", os.Getpid())
-		}
-		s, err = dist.NewSession(path, id, k, "", modelHash, jobs)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("session %s: dispatching %d behavior classes for %d prefixes (journal %s)\n",
-			id, len(jobs), total, path)
+// routeStr renders a best route for `hoyan update`.
+func routeStr(r hoyan.RouteInfo) string {
+	if !r.Present {
+		return "no route"
 	}
-	defer s.Close()
-	coord.Opts.Session = s.ID()
-	coord.Opts.ModelHash = modelHash
-	res, err := coord.RunSession(s, k)
-	if err == nil && res != nil && len(res.Failed) == 0 {
-		if rmErr := s.Remove(); rmErr != nil {
-			fmt.Fprintln(os.Stderr, "hoyan: removing completed journal:", rmErr)
-		}
-	} else {
-		fmt.Printf("journal kept at %s; resume with: hoyan sweep ... -journal %s -resume\n", path, path)
+	return fmt.Sprintf("%s via %q as-path %q pref %d local-pref %d", r.Protocol, r.NextHop, r.ASPath, r.Pref, r.LocalPref)
+}
+
+// printViolations prints a sweep's reachability violations, one line
+// each, in the same form for in-process and distributed sweeps.
+func printViolations(viols []hoyan.Violation) {
+	for _, v := range viols {
+		fmt.Printf("[violation] %s %s @ %s: %s\n", v.Kind, v.Prefix, v.Router, v.Details)
 	}
-	return res, err
 }
 
 // loadBaseline loads a result store, degrading the way the operator
@@ -657,16 +432,7 @@ func loadBaseline(path string) *hoyan.ResultStore {
 // localSweep runs Sweep/SweepBaseline in-process — the only mode that can
 // capture a baseline store (taint sets and portable conditions come from
 // live simulator state, which remote workers do not ship back).
-func localSweep(net *topo.Network, snap config.Snapshot, k int, noClasses, noIncr, modular bool,
-	auditSample float64, threads int, baselinePath, savePath string) {
-	hn := hoyan.NetworkFrom(net, snap)
-	opts := hoyan.Options{K: k, NoClasses: noClasses, NoIncremental: noIncr, Modular: modular, AuditSample: auditSample}
-	if baselinePath != "" {
-		opts.Baseline = loadBaseline(baselinePath)
-		if opts.Baseline == nil {
-			fmt.Println("no usable baseline; sweeping cold")
-		}
-	}
+func localSweep(hn *hoyan.Network, opts hoyan.Options, threads int, savePath string) {
 	var (
 		rep   *hoyan.SweepReport
 		store *hoyan.ResultStore
@@ -677,21 +443,112 @@ func localSweep(net *topo.Network, snap config.Snapshot, k int, noClasses, noInc
 	} else {
 		rep, err = hn.Sweep(opts, threads)
 	}
-	if err != nil {
-		fail(err.Error())
-	}
-	for _, v := range rep.Violations {
-		fmt.Printf("[violation] %s %s @ %s: %s\n", v.Kind, v.Prefix, v.Router, v.Details)
-	}
+	check(err)
+	printViolations(rep.Violations)
 	printInvalidation(rep.Delta, rep.Invalidation)
 	fmt.Println(rep)
 	if savePath != "" {
-		if err := store.Save(savePath); err != nil {
-			fail(err.Error())
-		}
+		check(store.Save(savePath))
 		fmt.Printf("baseline written to %s (%d classes)\n", savePath, len(store.Classes))
 	}
 	if len(rep.Violations) > 0 {
+		exit(1)
+	}
+}
+
+// distSweep is the one distributed sweep: build the class list (every
+// class, the dirty classes of a -baseline plan, or one singleton per
+// prefix under -no-classes), dispatch it once (region passes, a
+// journaled session, or plain classes), and print one report.
+func distSweep(coord *dist.Coordinator, hn *hoyan.Network, m *core.Model, opts hoyan.Options,
+	journal, sessionID string, resume bool) {
+	var jobs [][]string
+	var plan *hoyan.IncrementalPlan
+	switch {
+	case opts.NoClasses:
+		if opts.Baseline != nil {
+			fmt.Println("note: -no-classes disables incremental replay; sweeping cold")
+		}
+		for _, p := range m.AnnouncedPrefixes() {
+			jobs = append(jobs, []string{p.String()})
+		}
+	case opts.Baseline != nil:
+		var err error
+		plan, err = hn.PlanIncremental(opts, opts.Baseline)
+		check(err)
+		printInvalidation(plan.Delta, plan.Stats)
+		jobs = plan.DirtyJobs
+	default:
+		for _, c := range m.Classes() {
+			job := make([]string, len(c.Members))
+			for i, p := range c.Members {
+				job[i] = p.String()
+			}
+			jobs = append(jobs, job)
+		}
+	}
+	total := 0
+	for _, job := range jobs {
+		total += len(job)
+	}
+
+	res := &dist.Result{}
+	if len(jobs) > 0 {
+		var err error
+		switch {
+		case opts.Modular:
+			res, err = modularSweep(coord, m, jobs, total, opts.K)
+		case journal != "":
+			res, err = sessionSweep(coord, jobs, total, opts.K, journal, sessionID, resume)
+		default:
+			fmt.Printf("dispatching %d behavior classes for %d prefixes\n", len(jobs), total)
+			res, err = coord.RunClasses(jobs, opts.K)
+		}
+		check(err)
+	}
+
+	var viols []hoyan.Violation
+	replayed := 0
+	if plan != nil {
+		viols = append(viols, plan.ReplayedViolations...)
+		replayed = len(plan.ReplayedSummaries)
+	}
+	for p, sums := range res.ByPrefix {
+		for _, s := range sums {
+			if !s.Reachable {
+				viols = append(viols, hoyan.ReachabilityViolation(p, s.Router))
+			}
+		}
+	}
+	sort.Slice(viols, func(i, j int) bool {
+		if viols[i].Prefix != viols[j].Prefix {
+			return viols[i].Prefix < viols[j].Prefix
+		}
+		return viols[i].Router < viols[j].Router
+	})
+	printViolations(viols)
+	for _, f := range res.Failed {
+		fmt.Printf("[failed] %s after %d dispatches: %s\n", f.Prefix, f.Dispatches, f.LastError)
+	}
+	if res.Requeued+res.Retried+res.Hedged > 0 {
+		fmt.Printf("resilience: %d jobs re-queued, %d retried, %d hedged\n",
+			res.Requeued, res.Retried, res.Hedged)
+	}
+	if res.Resumed+res.Redispatched > 0 {
+		fmt.Printf("session: %d classes replayed from the journal, %d re-dispatched after the crash\n",
+			res.Resumed, res.Redispatched)
+	}
+	done := len(res.ByPrefix) + replayed
+	fmt.Printf("distributed sweep: %d/%d prefixes (%d classes, %d replicated, %d replayed from the baseline) over %d workers, %d violations\n",
+		done, done+len(res.Failed), res.Classes+res.Resumed, res.Replicated, replayed, len(res.Assigned), len(viols))
+	// Exit codes (documented in usage): incompleteness dominates, so a
+	// -partial run with failed prefixes is 3 even when the completed
+	// subset is clean — CI must not mistake a partial sweep for a
+	// verified network.
+	switch {
+	case len(res.Failed) > 0:
+		exit(3)
+	case len(viols) > 0:
 		exit(1)
 	}
 }
@@ -702,9 +559,8 @@ func localSweep(net *topo.Network, snap config.Snapshot, k int, noClasses, noInc
 // no usable cut every class gets an empty Home, so RunModular runs each
 // as one monolithic pass, counted as refused — the in-process sweep's
 // refusal contract.
-func modularSweep(coord *dist.Coordinator, m *core.Model, classes []core.PrefixClass,
-	jobs [][]string, total, k int) (*dist.Result, error) {
-	mcs := make([]dist.ModularClass, len(classes))
+func modularSweep(coord *dist.Coordinator, m *core.Model, jobs [][]string, total, k int) (*dist.Result, error) {
+	mcs := make([]dist.ModularClass, len(jobs))
 	for i := range mcs {
 		mcs[i].Members = jobs[i]
 	}
@@ -715,19 +571,36 @@ func modularSweep(coord *dist.Coordinator, m *core.Model, classes []core.PrefixC
 		for i := 0; i < pt.NumRegions(); i++ {
 			regions = append(regions, pt.RegionName(i))
 		}
-		for i, cl := range classes {
-			if hi, herr := pt.FamilyHome(m, cl.Rep); herr == nil {
+		for i, job := range jobs {
+			rep, err := netaddr.Parse(job[0])
+			if err != nil {
+				return nil, err
+			}
+			if hi, herr := pt.FamilyHome(m, rep); herr == nil {
 				mcs[i].Home = pt.RegionName(hi)
 			} else {
-				fmt.Printf("note: %s falls back to monolithic: %v\n", cl.Rep, herr)
+				fmt.Printf("note: %s falls back to monolithic: %v\n", rep, herr)
 			}
 		}
 	}
 	// Advisory pre-flight: predict the cut's refusals statically so the
 	// fallback load is visible before a single worker is dispatched.
-	if pred := vet.PredictRefusals(m, k); pred.RefusedClasses() > 0 {
+	pred := vet.PredictRefusals(m, k)
+	refuses := map[string]bool{}
+	for i, cl := range pred.Classes {
+		for _, p := range cl.Members {
+			refuses[p.String()] = len(pred.ByClass[i]) > 0
+		}
+	}
+	predicted := 0
+	for _, job := range jobs {
+		if refuses[job[0]] {
+			predicted++
+		}
+	}
+	if predicted > 0 {
 		fmt.Printf("vet pre-flight: %d of %d classes predicted to refuse the cut and fall back to monolithic\n",
-			pred.RefusedClasses(), len(pred.Classes))
+			predicted, len(jobs))
 	}
 	fmt.Printf("dispatching %d behavior classes for %d prefixes across %d regions\n", len(jobs), total, len(regions))
 	res, err := coord.RunModular(mcs, regions, k)
@@ -738,58 +611,48 @@ func modularSweep(coord *dist.Coordinator, m *core.Model, classes []core.PrefixC
 	return res, err
 }
 
-// distIncrementalSweep plans invalidation locally against a saved
-// baseline and dispatches only the dirty classes to the workers; clean
-// classes' reports are replayed from the baseline client-side.
-func distIncrementalSweep(coord *dist.Coordinator, net *topo.Network, snap config.Snapshot, k int, store *hoyan.ResultStore) {
-	plan, err := hoyan.NetworkFrom(net, snap).PlanIncremental(hoyan.Options{K: k}, store)
-	if err != nil {
-		fail(err.Error())
-	}
-	printInvalidation(plan.Delta, plan.Stats)
-	dirtyPrefixes := 0
-	for _, job := range plan.DirtyJobs {
-		dirtyPrefixes += len(job)
-	}
-	res := &dist.Result{}
-	if len(plan.DirtyJobs) > 0 {
-		fmt.Printf("dispatching %d invalidated classes for %d prefixes\n", len(plan.DirtyJobs), dirtyPrefixes)
-		if res, err = coord.RunClasses(plan.DirtyJobs, k); err != nil {
-			fail(err.Error())
+// sessionSweep runs (or resumes) a journaled distributed sweep: every
+// class completion is fsync'd to the journal before it is counted, so a
+// killed coordinator resumes with -resume and re-simulates only the
+// classes the journal does not cover. The journal is removed after a
+// fully successful run and kept (with a hint) otherwise.
+func sessionSweep(coord *dist.Coordinator, jobs [][]string, total, k int,
+	path, id string, resume bool) (*dist.Result, error) {
+	var s *dist.Session
+	var err error
+	if resume {
+		s, err = dist.Resume(path)
+		if err != nil {
+			return nil, err
 		}
-	}
-	bad := 0
-	for _, p := range sortedPrefixes(res.ByPrefix) {
-		for _, s := range res.ByPrefix[p] {
-			if !s.Reachable {
-				fmt.Printf("[violation] %s unreachable at %s\n", p, s.Router)
-				bad++
-			}
+		if err := s.MatchesClasses(jobs); err != nil {
+			s.Close()
+			return nil, err
 		}
+		fmt.Printf("resuming session %s: %d/%d classes journaled done, %d were in flight at the crash\n",
+			s.ID(), s.Completed(), len(jobs), s.Redispatched())
+	} else {
+		if id == "" {
+			id = fmt.Sprintf("sweep-%d", os.Getpid())
+		}
+		s, err = dist.NewSession(path, id, k, "", coord.Opts.ModelHash, jobs)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("session %s: dispatching %d behavior classes for %d prefixes (journal %s)\n",
+			id, len(jobs), total, path)
 	}
-	for _, v := range plan.ReplayedViolations {
-		fmt.Printf("[violation] %s unreachable at %s (replayed from baseline)\n", v.Prefix, v.Router)
-		bad++
+	defer s.Close()
+	coord.Opts.Session = s.ID()
+	res, err := coord.RunSession(s, k)
+	if err == nil && res != nil && len(res.Failed) == 0 {
+		if rmErr := s.Remove(); rmErr != nil {
+			fmt.Fprintln(os.Stderr, "hoyan: removing completed journal:", rmErr)
+		}
+	} else {
+		fmt.Printf("journal kept at %s; resume with: hoyan sweep ... -journal %s -resume\n", path, path)
 	}
-	for _, f := range res.Failed {
-		fmt.Printf("[failed] %s after %d dispatches: %s\n", f.Prefix, f.Dispatches, f.LastError)
-	}
-	if res.Requeued+res.Retried+res.Hedged > 0 {
-		fmt.Printf("resilience: %d jobs re-queued, %d retried, %d hedged\n",
-			res.Requeued, res.Retried, res.Hedged)
-	}
-	fmt.Printf("incremental distributed sweep: %d prefixes simulated in %d classes over %d workers, %d prefixes replayed from %d cached classes, %d violations\n",
-		len(res.ByPrefix), len(plan.DirtyJobs), len(res.Assigned), len(plan.ReplayedSummaries), plan.ReplayedClasses, bad)
-	code := 0
-	if bad > 0 {
-		code = 1
-	}
-	if len(res.Failed) > 0 {
-		code = 3 // partial result: see the exit-code table in usage
-	}
-	if code != 0 {
-		exit(code)
-	}
+	return res, err
 }
 
 // printInvalidation reports what an incremental sweep decided and why.

@@ -167,9 +167,6 @@ type Options struct {
 	// the rest (DESIGN.md, "Incremental re-verification"). Produce a
 	// baseline with SweepBaseline.
 	Baseline *ResultStore
-	// NoIncremental ignores Baseline and sweeps cold — the correctness
-	// escape hatch mirroring NoClasses.
-	NoIncremental bool
 	// Modular runs Sweep region by region (DESIGN.md, "Modular
 	// verification"): each prefix family is simulated in its home region
 	// first, the routes it exports across each region cut are captured as
@@ -226,6 +223,7 @@ func TunedProfiles() *behavior.Registry { return behavior.TrueProfiles() }
 func NaiveProfiles() *behavior.Registry { return behavior.NaiveProfiles() }
 
 // Verifier answers verification queries over a frozen network snapshot.
+// It caches per-prefix results and is not safe for concurrent use.
 type Verifier struct {
 	model *core.Model
 	sim   *core.Simulator
@@ -248,6 +246,10 @@ func (n *Network) Verifier(opts Options) (*Verifier, error) {
 		fibs:  map[netaddr.Prefix]*dataplane.FIB{},
 	}, nil
 }
+
+// Model returns the assembled model the verifier answers over, for
+// callers that also partition classes, vet, or resolve announcers.
+func (v *Verifier) Model() *core.Model { return v.model }
 
 // Prefixes lists every prefix announced anywhere on the network.
 func (v *Verifier) Prefixes() []string {
@@ -331,9 +333,13 @@ func (v *Verifier) reachReport(res *core.Result, n topo.NodeID, pt core.Pattern)
 		rep.MinFailures = min
 		rep.Tolerant = min > v.opts.K
 	}
-	if fs, ok := res.WitnessFailure(n, pt); ok && rep.Reachable && rep.MinFailures > 0 {
-		for _, l := range fs {
-			rep.Witness = append(rep.Witness, v.model.Net.Link(l).Name)
+	if rep.MinFailures > 0 {
+		// Only a reachable, breakable router reports a witness, so only
+		// it pays for the search.
+		if fs, ok := res.WitnessFailure(n, pt); ok {
+			for _, l := range fs {
+				rep.Witness = append(rep.Witness, v.model.Net.Link(l).Name)
+			}
 		}
 	}
 	return rep

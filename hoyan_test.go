@@ -219,6 +219,22 @@ func TestAuditPacketGaps(t *testing.T) {
 	}
 }
 
+// TestAuditPacketGapsNoSources: with no source router there is nothing
+// to check, so no FIB is built (AuditAll(nil), the CLI audit, pays none).
+func TestAuditPacketGapsNoSources(t *testing.T) {
+	v, err := figure4Net(t).Verifier(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viols, err := v.AuditPacketGaps(nil)
+	if err != nil || len(viols) != 0 {
+		t.Fatalf("gaps %v err=%v", viols, err)
+	}
+	if len(v.fibs) != 0 {
+		t.Fatalf("%d FIBs built for an empty source list", len(v.fibs))
+	}
+}
+
 func TestNaiveVsTunedProfiles(t *testing.T) {
 	// A beta device whose default-permit-unmatched route policy only
 	// shows with tuned profiles.

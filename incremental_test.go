@@ -28,8 +28,7 @@ func applyPerturbation(t *testing.T, n *Network, p gen.Perturbation) {
 // static, and topology changes), every incremental sweep must produce a
 // report identical (modulo timing) to a from-scratch sweep of the same
 // network, with the baseline store round-tripped through its JSON
-// persistence at every step. It also pins the escape hatch: NoIncremental
-// ignores the baseline entirely.
+// persistence at every step.
 func TestIncrementalMatchesCold(t *testing.T) {
 	params := gen.Small()
 	if !testing.Short() {
@@ -110,23 +109,6 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	}
 	if !sawFull {
 		t.Fatal("no step exercised the conservative full-invalidation fallback")
-	}
-
-	// Escape hatch: NoIncremental ignores the baseline and sweeps cold.
-	hatch := opts
-	hatch.Baseline = store
-	hatch.NoIncremental = true
-	cold, err := n.Sweep(opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := n.Sweep(hatch, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffSweepReports(t, "no-incremental escape hatch", cold, off)
-	if off.Invalidation != nil || off.Replayed != 0 {
-		t.Fatalf("NoIncremental still replayed: %+v", off)
 	}
 }
 

@@ -26,8 +26,8 @@ func WriteDir(dir string, net *topo.Network, snap config.Snapshot) error {
 	}
 	var b strings.Builder
 	for _, n := range net.Nodes() {
-		fmt.Fprintf(&b, "node %s as=%d vendor=%s region=%s group=%s\n",
-			n.Name, n.AS, n.Vendor, n.Region, n.Group)
+		fmt.Fprintf(&b, "node %s as=%d vendor=%s region=%s group=%s role=%s\n",
+			n.Name, n.AS, n.Vendor, n.Region, n.Group, n.Role)
 	}
 	for _, l := range net.Links() {
 		fmt.Fprintf(&b, "link %s %s %d\n", net.Node(l.A).Name, net.Node(l.B).Name, l.Weight)

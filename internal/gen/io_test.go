@@ -4,10 +4,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hoyan/internal/behavior"
+	"hoyan/internal/core"
 )
 
+// TestWriteLoadRoundTrip: a WAN written and loaded back keeps every node
+// attribute and assembles to a model that diffs empty against the
+// generated one, so a baseline taken from either replays against the
+// other instead of invalidating fully.
 func TestWriteLoadRoundTrip(t *testing.T) {
-	w := mustGen(t, Small())
+	w := mustGen(t, Medium())
 	dir := t.TempDir()
 	if err := w.WriteDir(dir); err != nil {
 		t.Fatal(err)
@@ -31,9 +38,16 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	// Node attributes preserved.
 	for _, n := range w.Net.Nodes() {
 		got, ok := net.NodeByName(n.Name)
-		if !ok || got.AS != n.AS || got.Vendor != n.Vendor || got.Group != n.Group || got.Region != n.Region {
+		if !ok || got.AS != n.AS || got.Vendor != n.Vendor || got.Group != n.Group || got.Region != n.Region || got.Role != n.Role {
 			t.Fatalf("node %s attrs lost", n.Name)
 		}
+	}
+	loaded, err := core.Assemble(net, snap, behavior.TrueProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := core.Diff(assemble(t, w), loaded); !d.Empty() {
+		t.Fatalf("round trip diffs: %v", d.Items)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package httpapi exposes the verifier as an HTTP/JSON service — the
 // frontend of Figure 2 that operators call to check updates and run
-// audits. Handlers are stateless wrappers over a verification session;
-// the underlying simulator is serialized with a mutex (per-prefix results
-// are cached, so repeated queries are cheap).
+// audits. Query handlers validate their parameters and answer through one
+// hoyan.Verifier, serialized with a mutex (the verifier caches per-prefix
+// results, so repeated queries are cheap).
 package httpapi
 
 import (
@@ -16,25 +16,22 @@ import (
 	"sync"
 
 	"hoyan"
-	"hoyan/internal/behavior"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
-	"hoyan/internal/dataplane"
 	"hoyan/internal/netaddr"
-	"hoyan/internal/racing"
 	"hoyan/internal/topo"
 	"hoyan/internal/vet"
 )
 
 // Service serves verification queries for one network snapshot.
 type Service struct {
-	mu    sync.Mutex
-	net   *topo.Network
-	snap  config.Snapshot
-	model *core.Model
-	sim   *core.Simulator
-	k     int
-	cache map[netaddr.Prefix]*core.Result
+	mu   sync.Mutex
+	net  *topo.Network
+	snap config.Snapshot
+	// v answers the query endpoints over the served snapshot; a committed
+	// resweep replaces it.
+	v *hoyan.Verifier
+	k int
 	// baseline is the result store the last /v1/resweep captured; the
 	// next resweep diffs against it and replays what the delta spares.
 	baseline *hoyan.ResultStore
@@ -54,19 +51,11 @@ func New(net *topo.Network, snap config.Snapshot, k int) (*Service, error) {
 	if k == 0 {
 		k = 3
 	}
-	m, err := core.Assemble(net, snap, behavior.TrueProfiles())
+	v, err := hoyan.NetworkFrom(net, snap).Verifier(hoyan.Options{K: k})
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultOptions()
-	opts.K = k
-	return &Service{
-		net: net, snap: snap, model: m,
-		sim:   core.NewSimulator(m, opts),
-		k:     k,
-		cache: map[netaddr.Prefix]*core.Result{},
-		query: newQueryPlane(),
-	}, nil
+	return &Service{net: net, snap: snap, v: v, k: k, query: newQueryPlane()}, nil
 }
 
 // Handler returns the HTTP mux:
@@ -114,7 +103,11 @@ func (s *Service) Handler() http.Handler {
 
 // Classes returns the model's prefix behavior-class partition (what a
 // classed sweep dispatches), for startup stats and the /v1/classes view.
-func (s *Service) Classes() []core.PrefixClass { return s.model.Classes() }
+func (s *Service) Classes() []core.PrefixClass {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.v.Model().Classes()
+}
 
 type errorBody struct {
 	Error string `json:"error"`
@@ -130,16 +123,26 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Service) result(p netaddr.Prefix) (*core.Result, error) {
-	if r, ok := s.cache[p]; ok {
-		return r, nil
-	}
-	r, err := s.sim.Run(p)
+func internalError(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+}
+
+// parsePrefix answers 400 for a malformed prefix.
+func parsePrefix(w http.ResponseWriter, raw string) (netaddr.Prefix, bool) {
+	p, err := netaddr.Parse(raw)
 	if err != nil {
-		return nil, err
+		badRequest(w, "bad prefix: %v", err)
 	}
-	s.cache[p] = r
-	return r, nil
+	return p, err == nil
+}
+
+// knownRouter answers 400 for a router the topology does not have.
+func (s *Service) knownRouter(w http.ResponseWriter, name string) bool {
+	_, ok := s.net.NodeByName(name)
+	if !ok {
+		badRequest(w, "unknown router %q", name)
+	}
+	return ok
 }
 
 func (s *Service) handleRouters(w http.ResponseWriter, r *http.Request) {
@@ -153,11 +156,7 @@ func (s *Service) handleRouters(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handlePrefixes(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ps []string
-	for _, p := range s.model.AnnouncedPrefixes() {
-		ps = append(ps, p.String())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"prefixes": ps})
+	writeJSON(w, http.StatusOK, map[string]any{"prefixes": s.v.Prefixes()})
 }
 
 // RouteResponse is the JSON body of /v1/route.
@@ -173,42 +172,20 @@ type RouteResponse struct {
 
 func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	prefix, router := r.URL.Query().Get("prefix"), r.URL.Query().Get("router")
-	p, err := netaddr.Parse(prefix)
-	if err != nil {
-		badRequest(w, "bad prefix: %v", err)
-		return
-	}
-	node, ok := s.net.NodeByName(router)
-	if !ok {
-		badRequest(w, "unknown router %q", router)
+	if _, ok := parsePrefix(w, prefix); !ok || !s.knownRouter(w, router) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.result(p)
+	rep, err := s.v.RouteReach(prefix, router)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		internalError(w, err)
 		return
 	}
-	pt := core.AnyRouteTo(p)
-	resp := RouteResponse{Prefix: prefix, Router: router, Reachable: res.Reachable(node.ID, pt)}
-	min, flen := res.MinFailuresToLose(node.ID, pt)
-	resp.FormulaLen = flen
-	switch {
-	case !resp.Reachable:
-		resp.MinFailures = 0
-	case min > s.k:
-		resp.MinFailures = -1
-		resp.Tolerant = true
-	default:
-		resp.MinFailures = min
-		if fs, ok := res.WitnessFailure(node.ID, pt); ok {
-			for _, l := range fs {
-				resp.Witness = append(resp.Witness, s.net.Link(l).Name)
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, RouteResponse{
+		Prefix: prefix, Router: router, Reachable: rep.Reachable, MinFailures: rep.MinFailures,
+		Tolerant: rep.Tolerant, Witness: rep.Witness, FormulaLen: rep.FormulaLen,
+	})
 }
 
 // PacketResponse is the JSON body of /v1/packet.
@@ -220,45 +197,31 @@ type PacketResponse struct {
 	MinFailures int    `json:"min_failures"`
 }
 
+// handlePacket answers packet reachability to any announcer of the
+// prefix (Verifier.PacketReach); Gateway names the first announcer.
 func (s *Service) handlePacket(w http.ResponseWriter, r *http.Request) {
 	prefix, src := r.URL.Query().Get("prefix"), r.URL.Query().Get("src")
-	p, err := netaddr.Parse(prefix)
-	if err != nil {
-		badRequest(w, "bad prefix: %v", err)
-		return
-	}
-	node, ok := s.net.NodeByName(src)
-	if !ok {
-		badRequest(w, "unknown router %q", src)
+	p, ok := parsePrefix(w, prefix)
+	if !ok || !s.knownRouter(w, src) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	anns := s.model.AnnouncersOf(p)
+	m := s.v.Model()
+	anns := m.AnnouncersOf(p)
 	if len(anns) == 0 {
 		badRequest(w, "nobody announces %s", p)
 		return
 	}
-	res, err := s.result(p)
+	rep, err := s.v.PacketReach(prefix, src)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		internalError(w, err)
 		return
 	}
-	fib := dataplane.Build(res)
-	pr := fib.PacketReach(node.ID, 0, p.Addr+1, anns[0])
-	f := s.sim.F
-	resp := PacketResponse{
-		Prefix: prefix, Src: src,
-		Gateway:   s.net.Node(anns[0]).Name,
-		Reachable: f.Eval(pr.Cond, nil),
-	}
-	min := f.MinFailuresToViolate(pr.Cond)
-	if min > s.k {
-		resp.MinFailures = -1
-	} else {
-		resp.MinFailures = min
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, PacketResponse{
+		Prefix: prefix, Src: src, Gateway: m.Net.Node(anns[0]).Name,
+		Reachable: rep.Reachable, MinFailures: rep.MinFailures,
+	})
 }
 
 // EquivalenceResponse is the JSON body of /v1/equivalence.
@@ -271,28 +234,17 @@ type EquivalenceResponse struct {
 
 func (s *Service) handleEquivalence(w http.ResponseWriter, r *http.Request) {
 	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	na, ok1 := s.net.NodeByName(a)
-	nb, ok2 := s.net.NodeByName(b)
-	if !ok1 || !ok2 {
-		badRequest(w, "unknown router")
+	if !s.knownRouter(w, a) || !s.knownRouter(w, b) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := EquivalenceResponse{A: a, B: b, Equivalent: true}
-	for _, p := range s.model.AnnouncedPrefixes() {
-		res, err := s.result(p)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			return
-		}
-		for _, d := range res.EquivalentRoles(na.ID, nb.ID) {
-			resp.Equivalent = false
-			resp.Differences = append(resp.Differences,
-				fmt.Sprintf("%s: %s (%s vs %s)", d.Prefix, d.Field, d.A, d.B))
-		}
+	rep, err := s.v.RoleEquivalence(a, b)
+	if err != nil {
+		internalError(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, EquivalenceResponse{A: a, B: b, Equivalent: rep.Equivalent, Differences: rep.Differences})
 }
 
 // ClassResponse is one behavior class in the JSON body of /v1/classes.
@@ -305,7 +257,7 @@ func (s *Service) handleClasses(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []ClassResponse
-	for _, c := range s.model.Classes() {
+	for _, c := range s.v.Model().Classes() {
 		cr := ClassResponse{Representative: c.Rep.String()}
 		for _, p := range c.Members {
 			cr.Members = append(cr.Members, p.String())
@@ -330,7 +282,8 @@ type ResweepUpdate struct {
 // sweeps the current snapshot as-is.
 type ResweepRequest struct {
 	Updates []ResweepUpdate `json:"updates"`
-	// NoIncremental ignores the held baseline and sweeps cold.
+	// NoIncremental ignores the held baseline and sweeps cold (the new
+	// store still becomes the next baseline).
 	NoIncremental bool `json:"no_incremental"`
 	// AuditSample re-simulates this fraction of replayed classes and
 	// replicated members, failing the sweep on divergence (0 = none).
@@ -412,8 +365,11 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	snap := s.snap
 	baseline := s.baseline
-	jobs := len(s.model.Classes())
+	jobs := len(s.v.Model().Classes())
 	s.mu.Unlock()
+	if req.NoIncremental {
+		baseline = nil
+	}
 
 	si, err := s.adm.admit(jobs)
 	if err != nil {
@@ -439,36 +395,29 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 		snap = next
 	}
 
-	opts := hoyan.Options{
-		K:             s.k,
-		Baseline:      baseline,
-		NoIncremental: req.NoIncremental,
-		AuditSample:   req.AuditSample,
-	}
-	rep, store, err := hoyan.NetworkFrom(s.net, snap).SweepBaseline(opts, req.Workers)
+	n := hoyan.NetworkFrom(s.net, snap)
+	opts := hoyan.Options{K: s.k, Baseline: baseline, AuditSample: req.AuditSample}
+	rep, store, err := n.SweepBaseline(opts, req.Workers)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		internalError(w, err)
 		return
+	}
+	// An updated snapshot gets its verifier before the commit, so queries
+	// wait only for the swap.
+	var v *hoyan.Verifier
+	if len(req.Updates) > 0 {
+		if v, err = n.Verifier(hoyan.Options{K: s.k}); err != nil {
+			internalError(w, err)
+			return
+		}
 	}
 
 	// Commit: the swept snapshot becomes the served one (queries now see
 	// the updated configs) and the fresh store the next baseline.
 	s.mu.Lock()
-	if len(req.Updates) > 0 {
-		m, err := core.Assemble(s.net, snap, behavior.TrueProfiles())
-		if err != nil {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			return
-		}
-		copts := core.DefaultOptions()
-		copts.K = s.k
-		s.snap = snap
-		s.model = m
-		s.sim = core.NewSimulator(m, copts)
-		s.cache = map[netaddr.Prefix]*core.Result{}
+	if v != nil {
+		s.snap, s.v = snap, v
 	}
-	incremental := baseline != nil && !req.NoIncremental
 	s.baseline = store
 	s.lastInval = rep.Invalidation
 	s.mu.Unlock()
@@ -485,7 +434,7 @@ func (s *Service) handleResweep(w http.ResponseWriter, r *http.Request) {
 
 	resp := ResweepResponse{
 		Session:     si.ID,
-		Incremental: incremental,
+		Incremental: baseline != nil,
 		Prefixes:    len(rep.Prefixes),
 		Classes:     rep.Classes,
 		Replayed:    rep.Replayed,
@@ -525,8 +474,7 @@ type VetResponse struct {
 // synchronization needed; the analysis itself runs unlocked.
 func (s *Service) handleVet(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	m := s.model
-	k := s.k
+	m := s.v.Model()
 	s.mu.Unlock()
 	analyzers := vet.Analyzers()
 	if only := r.URL.Query().Get("only"); only != "" {
@@ -540,9 +488,9 @@ func (s *Service) handleVet(w http.ResponseWriter, r *http.Request) {
 			analyzers = append(analyzers, a)
 		}
 	}
-	diags, err := vet.RunBudget(m, analyzers, k)
+	diags, err := vet.RunBudget(m, analyzers, s.k)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		internalError(w, err)
 		return
 	}
 	if diags == nil {
@@ -564,21 +512,17 @@ type RacingResponse struct {
 
 func (s *Service) handleRacing(w http.ResponseWriter, r *http.Request) {
 	prefix := r.URL.Query().Get("prefix")
-	p, err := netaddr.Parse(prefix)
-	if err != nil {
-		badRequest(w, "bad prefix: %v", err)
+	if _, ok := parsePrefix(w, prefix); !ok {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := racing.Detect(s.sim, p, racing.DefaultOptions())
+	rep, err := s.v.CheckRacing(prefix)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		internalError(w, err)
 		return
 	}
-	resp := RacingResponse{Prefix: prefix, Ambiguous: rep.Ambiguous, Convergences: len(rep.Solutions)}
-	for _, n := range rep.AmbiguousNodes {
-		resp.AmbiguousRouters = append(resp.AmbiguousRouters, s.net.Node(n).Name)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, RacingResponse{
+		Prefix: prefix, Ambiguous: rep.Ambiguous, Convergences: rep.Convergences, AmbiguousRouters: rep.AmbiguousRouters,
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -252,5 +253,39 @@ func TestConcurrentQueries(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestResweepNoIncremental pins the no_incremental wire field: after a
+// seeding resweep it sweeps cold (nothing replayed) and reports the same
+// violations as an incremental resweep of the same snapshot.
+func TestResweepNoIncremental(t *testing.T) {
+	srv := httptest.NewServer(service(t).Handler())
+	defer srv.Close()
+	// B drops everything it learns from A: B and D then see a different
+	// failure surface, and the seed already carries violations.
+	body := `{"updates": [{"device": "B", "lines": ["route-policy DROP deny 10", "router bgp 200", " neighbor A route-policy DROP in", " neighbor C route-policy DROP in"]}]}`
+	var seed ResweepResponse
+	if code := post(t, srv, "/v1/resweep", body, &seed); code != 200 {
+		t.Fatalf("seed status %d", code)
+	}
+	if len(seed.Violations) == 0 {
+		t.Fatalf("seed resweep found no violations: %+v", seed)
+	}
+	var incr, cold ResweepResponse
+	if code := post(t, srv, "/v1/resweep", "{}", &incr); code != 200 {
+		t.Fatalf("incremental status %d", code)
+	}
+	if code := post(t, srv, "/v1/resweep", `{"no_incremental": true}`, &cold); code != 200 {
+		t.Fatalf("cold status %d", code)
+	}
+	if !incr.Incremental || incr.Replayed == 0 {
+		t.Fatalf("incremental resweep %+v", incr)
+	}
+	if cold.Incremental || cold.Replayed != 0 || cold.Invalidation != nil {
+		t.Fatalf("no_incremental resweep %+v", cold)
+	}
+	if !reflect.DeepEqual(cold.Violations, incr.Violations) {
+		t.Fatalf("violations differ: cold %+v, incremental %+v", cold.Violations, incr.Violations)
 	}
 }

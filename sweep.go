@@ -76,7 +76,7 @@ type SweepReport struct {
 // Options.AuditSample re-simulates a fraction of the members to check the
 // replication. workers <= 0 uses GOMAXPROCS.
 //
-// With Options.Baseline set (and NoIncremental unset), the sweep is
+// With Options.Baseline set, the sweep is
 // incremental: it diffs the current model against the baseline's,
 // re-simulates only the behavior classes the delta can affect, and
 // replays the baseline's cached reports for the rest. Results are
@@ -143,7 +143,7 @@ func (n *Network) sweep(opts Options, workers int, capture bool) (*SweepReport, 
 	// Incremental planning: diff against the baseline, split classes into
 	// dirty (simulate) and clean (replay the cached record).
 	var plan *incrementalPlan
-	if opts.Baseline != nil && !opts.NoIncremental {
+	if opts.Baseline != nil {
 		if opts.NoClasses {
 			rep.Invalidation = &core.InvalidationStats{
 				FullInvalidation: true,
@@ -397,13 +397,17 @@ func foldVerdicts(m *core.Model, p netaddr.Prefix, vs []core.Verdict, k int, sim
 	viols := make([]Violation, 0, nviol)
 	for _, v := range vs {
 		if !v.Reachable {
-			viols = append(viols, Violation{
-				Kind: "reachability", Prefix: sum.Prefix,
-				Router: m.Net.Node(v.Node).Name, Details: "no route with all links up",
-			})
+			viols = append(viols, ReachabilityViolation(sum.Prefix, m.Net.Node(v.Node).Name))
 		}
 	}
 	return sum, viols
+}
+
+// ReachabilityViolation is the violation a sweep reports for a router
+// with no route to the prefix with all links up, however the verdict
+// was computed (in-process or by a remote worker).
+func ReachabilityViolation(prefix, router string) Violation {
+	return Violation{Kind: "reachability", Prefix: prefix, Router: router, Details: "no route with all links up"}
 }
 
 // scanVerdicts selects the weakest in-budget verdict (the index of the
